@@ -8,7 +8,8 @@ timing lives only there, never in the payload.  CSV sweeps are the one
 exception: their millis column is wall-clock by design.
 
 Exit codes: 0 success or PASS, 2 verify found a witness, 1 usage or
-guard errors.
+guard errors, or a search that ran out of stack or memory (printed as
+``error: ...``, never as a traceback).
 """
 
 from __future__ import annotations
@@ -206,6 +207,7 @@ def _cmd_lp(args) -> tuple[str, str, dict]:
     payload = {
         "nuStar": _frac_str(value),
         "weights": [_frac_str(w) for w in problem.weights],
+        "duals": [_frac_str(y) for y in problem.duals],
     }
     return (canonical_json(payload), "PASS", payload)
 
@@ -331,7 +333,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         text, verdict, payload = _HANDLERS[args.cmd](args)
-    except (ValueError, PackingError, GuardError, OSError) as exc:
+    except (ValueError, PackingError, GuardError, OSError,
+            RecursionError, MemoryError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not text.endswith("\n"):

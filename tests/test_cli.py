@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from rainbowpack import ColoredPacking, SimpleGraph
+from rainbowpack import ColoredPacking, SimpleGraph, cli
 from rainbowpack.cli import main, parse_graph
 
 K3 = SimpleGraph.complete(3)
@@ -134,6 +135,8 @@ def test_lp_payload(capsys):
     obj = json.loads(out)
     assert obj["nuStar"] == "2/1"
     assert len(obj["weights"]) == 4
+    assert len(obj["duals"]) == 6
+    assert sum(Fraction(y) for y in obj["duals"]) == Fraction(2)
 
 
 def test_report_upper_bounds(capsys):
@@ -204,6 +207,30 @@ def test_error_paths_exit_1(capsys, tmp_path):
         assert err.startswith("error:"), argv
     code, _, err = run(capsys, ["verify", "--in", str(bad_json)])
     assert code == 1 and "copies" in err
+
+
+def test_solve_recursion_is_a_clean_error():
+    # C5 copies in K9 outnumber the recursion limit of the branch and bound
+    proc = subprocess.run(
+        [sys.executable, "-m", "rainbowpack.cli",
+         "solve", "--n", "9", "--F", "c5", "--G", "k3"],
+        capture_output=True, text=True)
+    assert proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 1:
+        assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("exc", [RecursionError("too deep"), MemoryError("full"),
+                                 ArithmeticError("bad pivot")])
+def test_resource_and_arithmetic_errors_exit_1(capsys, monkeypatch, exc):
+    def boom(args):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "gadget", boom)
+    code, out, err = run(capsys, ["gadget", "--n", "14"])
+    assert (code, out) == (1, "")
+    assert err == f"error: {exc}\n"
 
 
 def test_console_script_smoke():
