@@ -114,9 +114,7 @@ def _cmd_verify(args) -> tuple[str, str, dict]:
     payload: dict = {}
     if witness is None:
         payload["verdict"] = "PASS"
-        is_pentagon = (packing.pattern.n == 5 and packing.pattern.edge_count() == 5
-                       and all(d == 2 for d in packing.pattern.degrees()))
-        if is_pentagon and forbidden.n == 3 and forbidden.edge_count() == 3:
+        if packing.pattern.is_cycle(5) and forbidden.is_cycle(3):
             payload["audit"] = pentagon_audit(packing).to_json_dict()
     else:
         payload["verdict"] = "FAIL"
@@ -128,8 +126,7 @@ def _cmd_verify(args) -> tuple[str, str, dict]:
 def _solve_once(n: int, pattern: SimpleGraph, forbidden, args):
     cfg = SearchConfig(
         n=n, pattern=pattern, forbidden=forbidden,
-        node_budget=args.budget, symmetry_breaking=not args.no_symmetry,
-        threads=args.threads)
+        node_budget=args.budget, symmetry_breaking=not args.no_symmetry)
     return max_rainbow_free_packing(cfg)
 
 
@@ -188,7 +185,13 @@ def _cmd_optimize(args) -> tuple[str, str, dict]:
     return (text, "PASS", {"rows": len(ks)})
 
 
+def _check_gadget_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"gadget needs n >= 1, got {n}")
+
+
 def _cmd_gadget(args) -> tuple[str, str, dict]:
+    _check_gadget_n(args.n)
     qset = behrend_q_free(args.n, args.q)
     payload = {
         "n": args.n,
@@ -229,6 +232,7 @@ def _cmd_report(args) -> tuple[str, str, dict]:
         ns = [int(x) for x in args.gadget_sizes.split(",")]
         lines = ["n,q,size,certified"]
         for n in ns:
+            _check_gadget_n(n)
             qset = behrend_q_free(n, args.q)
             lines.append(f"{n},{args.q},{len(qset)},true")
     elif args.upper_bounds:
@@ -241,8 +245,7 @@ def _cmd_report(args) -> tuple[str, str, dict]:
         lo, hi = _parse_range(args.pentagon)
         lines = ["n,value,optimal,balancedSquare"]
         for n in range(lo, hi + 1):
-            cfg = SearchConfig(n=n, pattern=SimpleGraph.cycle(5),
-                               forbidden=_TRIANGLE, threads=args.threads)
+            cfg = SearchConfig(n=n, pattern=SimpleGraph.cycle(5), forbidden=_TRIANGLE)
             res = max_rainbow_free_packing(cfg)
             lines.append(f"{n},{res.value},{str(res.optimal).lower()},"
                          f"{_fmt((n / 5.0) ** 2)}")
@@ -261,9 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--out", help="write payload here instead of stdout")
         sp.add_argument("--cert", help="write full certificate envelope here")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="reserved; no operation is randomized")
-        sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("construct", help="build a packing or host graph")
     sp.add_argument("--family", required=True,

@@ -89,6 +89,11 @@ class SimpleGraph:
             deg[v] += 1
         return deg
 
+    def is_cycle(self, k: int) -> bool:
+        """True when this graph is the k-cycle C_k, up to relabeling."""
+        return (self.n == k and self.edge_count() == k and self.is_connected()
+                and all(d == 2 for d in self.degrees()))
+
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
@@ -111,6 +116,16 @@ class SimpleGraph:
 
     def to_json(self) -> str:
         return canonical_json(self.to_json_dict())
+
+
+def embedded_edges(pattern: SimpleGraph, emb) -> list[tuple[int, int]]:
+    """Sorted host edges of the pattern copy with pattern vertex i at emb[i].
+
+    emb must be injective on every pattern edge; callers either built it
+    that way or check the result against a host edge set.
+    """
+    return sorted([(emb[u], emb[v]) if emb[u] < emb[v] else (emb[v], emb[u])
+                   for (u, v) in pattern.edges])
 
 
 def canonical_json(obj) -> str:
@@ -156,8 +171,7 @@ class ColoredPacking:
 
     def copy_edges(self, ci: int) -> list[tuple[int, int]]:
         """Ground edges of copy ci, sorted."""
-        copy = self.copies[ci]
-        return sorted(_norm_edge(copy[i], copy[j]) for (i, j) in self.pattern.edges)
+        return embedded_edges(self.pattern, self.copies[ci])
 
     def to_json_dict(self) -> dict:
         return {
@@ -213,6 +227,92 @@ def blow_up(spec: BlowupSpec) -> SimpleGraph:
             for b in range(spec.class_sizes[j]):
                 edges.append((offsets[i] + a, offsets[j] + b))
     return SimpleGraph.from_edges(offsets[-1], edges)
+
+
+def embeddings(small: SimpleGraph, host_adj: list[set[int]],
+               injective: bool = True, color: dict | None = None):
+    """Yield every edge-preserving map of ``small`` into a host, as a tuple
+    whose entry i is the host vertex carrying small-graph vertex i.
+
+    The host is given by its adjacency sets.  ``injective`` asks for copies
+    rather than homomorphisms.  With ``color`` (host edge (u, v), u < v, to
+    color) only maps whose edges get pairwise distinct colors are yielded.
+
+    Small-graph vertices are placed in component-wise BFS order, each
+    component rooted at its smallest vertex and neighbors queued in
+    ascending order, so every vertex after a root has a placed neighbor and
+    its candidates are the common host neighbors of all placed neighbors.
+    Candidates are tried in ascending order, so maps come out in a fixed
+    order, and the search keeps an explicit stack instead of recursing.
+    """
+    s_adj = small.adjacency()
+    order: list[int] = []
+    for root in range(small.n):
+        if root not in order:
+            head = len(order)
+            order.append(root)
+            while head < len(order):
+                order += [w for w in sorted(s_adj[order[head]]) if w not in order]
+                head += 1
+    if not order:
+        yield ()
+        return
+    anchors = [[u for u in sorted(s_adj[v]) if u in order[:i]]
+               for i, v in enumerate(order)]
+    # candidate sets are bitmasks, so the lowest set bit is the next host
+    # vertex in ascending order and intersections are single integer ANDs
+    nbr = [sum(1 << w for w in nb) for nb in host_adj]
+    everything = (1 << len(host_adj)) - 1
+    last = len(order) - 1
+    image = [-1] * small.n
+    used = 0
+    used_colors: set[int] = set()
+    # per depth: untried candidates, and with a color map the anchor images
+    # and the colors the current choice added
+    rest = [0] * len(order)
+    placed: list = [()] * len(order)
+    added: list = [()] * len(order)
+    rest[0] = everything
+    i = 0
+    while i >= 0:
+        v = order[i]
+        r = rest[i]
+        if image[v] >= 0:
+            used &= ~(1 << image[v])
+            used_colors.difference_update(added[i])
+            image[v] = -1
+        pl = placed[i]
+        while r:
+            low = r & -r
+            r ^= low
+            h = low.bit_length() - 1
+            if color is not None:
+                new = {color[(a, h) if a < h else (h, a)] for a in pl}
+                if len(new) < len(pl) or not used_colors.isdisjoint(new):
+                    continue
+            if i == last:
+                image[v] = h
+                yield tuple(image)
+                continue
+            break
+        else:
+            image[v] = -1
+            i -= 1
+            continue
+        rest[i] = r
+        image[v] = h
+        if injective:
+            used |= low
+        if color is not None:
+            added[i] = new
+            used_colors |= new
+        i += 1
+        m = everything & ~used
+        for u in anchors[i]:
+            m &= nbr[image[u]]
+        rest[i] = m
+        if color is not None:
+            placed[i] = [image[u] for u in anchors[i]]
 
 
 def _greedy_clique(adj: list[set[int]], order: list[int]) -> list[int]:

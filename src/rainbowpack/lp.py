@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardError
-from .graphs import SimpleGraph, _norm_edge
+from .graphs import SimpleGraph, embedded_edges
 from .solver import enumerate_copies
 
 _LP_COPY_LIMIT = 2000
@@ -50,18 +50,20 @@ class FractionalPackingProblem:
     def value(self) -> Fraction:
         return sum(self.weights, Fraction(0))
 
-    def _copy_edges(self, emb: tuple[int, ...]) -> list[tuple[int, int]]:
-        return [_norm_edge(emb[u], emb[v]) for (u, v) in self.pattern.edges]
-
     def edge_loads(self) -> dict[tuple[int, int], Fraction]:
         loads: dict[tuple[int, int], Fraction] = {}
         for emb, wt in zip(self.copy_list, self.weights):
-            for e in self._copy_edges(emb):
+            for e in embedded_edges(self.pattern, emb):
                 loads[e] = loads.get(e, Fraction(0)) + wt
         return loads
 
     def validate(self) -> None:
-        """Primal feasibility; with duals, also the optimality certificate."""
+        """Copies inside the host and primal feasibility; with duals, also
+        the optimality certificate."""
+        for emb in self.copy_list:
+            for e in embedded_edges(self.pattern, emb):
+                if e not in self.host.edges:
+                    raise ValueError(f"copy {emb} uses {e}, which is not a host edge")
         for wt in self.weights:
             if not 0 <= wt <= 1:
                 raise ValueError(f"weight {wt} outside [0, 1]")
@@ -77,7 +79,7 @@ class FractionalPackingProblem:
             if y < 0:
                 raise ValueError(f"dual {y} on edge {e} is negative")
         for emb in self.copy_list:
-            covered = sum(price[e] for e in self._copy_edges(emb))
+            covered = sum(price[e] for e in embedded_edges(self.pattern, emb))
             if covered < 1:
                 raise ValueError(f"copy {emb} covered only {covered} by the duals")
         dual_value = sum(self.duals, Fraction(0))
@@ -170,9 +172,8 @@ def lp_fractional_packing(host: SimpleGraph, pattern: SimpleGraph
         raise ValueError("pattern needs at least one edge")
     if host.edge_count() > _LP_EDGE_LIMIT:
         raise GuardError(f"lp guard: {host.edge_count()} edges exceed {_LP_EDGE_LIMIT}")
-    copies = enumerate_copies(host.n, pattern, host, limit=host.n)
-    if len(copies) > _LP_COPY_LIMIT:
-        raise GuardError(f"lp guard: {len(copies)} copies exceed {_LP_COPY_LIMIT}")
+    copies = enumerate_copies(host.n, pattern, host, limit=host.n,
+                              max_copies=_LP_COPY_LIMIT)
     host_edges = host.sorted_edges()
     if not copies:
         zeros = (Fraction(0),) * len(host_edges)
@@ -182,8 +183,8 @@ def lp_fractional_packing(host: SimpleGraph, pattern: SimpleGraph
     edge_row = {e: i for i, e in enumerate(host_edges)}
     a = [[0] * len(copies) for _ in host_edges]
     for ci, emb in enumerate(copies):
-        for (u, v) in pattern.edges:
-            a[edge_row[_norm_edge(emb[u], emb[v])]][ci] = 1
+        for e in embedded_edges(pattern, emb):
+            a[edge_row[e]][ci] = 1
     value, x, y = _simplex_max(a, [1] * len(copies))
     problem = FractionalPackingProblem(host, pattern, tuple(copies), tuple(x), tuple(y))
     problem.validate()

@@ -6,21 +6,21 @@ order.  Branches that would create a rainbow copy of the forbidden graph
 are rejected incrementally, and value pruning uses the free-edge budget.
 The tree is split into independent subproblems keyed by the first
 included copy; subproblems are solved in order and merged with a fixed
-tie-break, so the result is bitwise identical for every thread count.
+tie-break, so the result is bitwise identical from run to run.
 
-oracle_max_packing is the deliberately naive cross-check: full subset
-enumeration with a from-scratch rainbow scan, no shared code with the
-branch-and-bound path.
+oracle_max_packing is the deliberately naive cross-check: copies from
+plain vertex permutations, full subset enumeration and a from-scratch
+rainbow scan, no shared code with the branch-and-bound path.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import GuardError
-from .graphs import ColoredPacking, SimpleGraph, _norm_edge
+from .graphs import (ColoredPacking, SimpleGraph, _norm_edge, embedded_edges,
+                     embeddings)
 from .verifier import find_rainbow
 
 _SOLVER_N_LIMIT = 12
@@ -29,12 +29,14 @@ _ORACLE_COPY_LIMIT = 24
 
 def enumerate_copies(n: int, pattern: SimpleGraph,
                      host: SimpleGraph | None = None,
-                     limit: int = _SOLVER_N_LIMIT) -> list[tuple[int, ...]]:
+                     limit: int = _SOLVER_N_LIMIT,
+                     max_copies: int | None = None) -> list[tuple[int, ...]]:
     """All copies of the pattern in the host (K_n when host is None).
 
     One embedding per copy (per distinct edge set): the lexicographically
     smallest vertex tuple realizing it.  Copies are sorted by their sorted
-    edge tuple, so the order is canonical.
+    edge tuple, so the order is canonical.  GuardError as soon as more than
+    max_copies distinct copies turn up, before the rest are enumerated.
     """
     if n > limit:
         raise GuardError(f"enumerate_copies guard: n={n} exceeds {limit}")
@@ -44,38 +46,17 @@ def enumerate_copies(n: int, pattern: SimpleGraph,
         host = SimpleGraph.complete(n)
     if host.n != n:
         raise ValueError(f"host has {host.n} vertices, expected n={n}")
-    hadj = host.adjacency()
-    p_adj = pattern.adjacency()
-    k = pattern.n
     found: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
-    image = [-1] * k
-    used = [False] * n
-
-    def place(idx: int) -> None:
-        if idx == k:
-            emb = tuple(image)
-            key = tuple(sorted(_norm_edge(emb[u], emb[v]) for (u, v) in pattern.edges))
-            old = found.get(key)
-            if old is None or emb < old:
-                found[key] = emb
-            return
-        anchors = [u for u in p_adj[idx] if u < idx]
-        if anchors:
-            cands = set(hadj[image[anchors[0]]])
-            for u in anchors[1:]:
-                cands &= hadj[image[u]]
-        else:
-            cands = range(n)
-        for h in cands:
-            if used[h]:
-                continue
-            image[idx] = h
-            used[h] = True
-            place(idx + 1)
-            used[h] = False
-            image[idx] = -1
-
-    place(0)
+    for emb in embeddings(pattern, host.adjacency()):
+        key = tuple(embedded_edges(pattern, emb))
+        old = found.get(key)
+        if old is None:
+            if len(found) == max_copies:
+                raise GuardError(
+                    f"enumerate_copies guard: copies exceed {max_copies}")
+            found[key] = emb
+        elif emb < old:
+            found[key] = emb
     return [found[key] for key in sorted(found)]
 
 
@@ -95,15 +76,12 @@ class SearchConfig:
     host: SimpleGraph | None = None
     node_budget: int = 10_000_000
     symmetry_breaking: bool = True
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("n must be nonnegative")
         if self.node_budget < 1:
             raise ValueError("node_budget must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass
@@ -119,7 +97,9 @@ class _BudgetUp(Exception):
 
 
 class _SubSolver:
-    """One subproblem: packings whose first included copy is fixed."""
+    """Subproblem search: run(first) covers the packings whose first
+    included copy is ``first`` and resets all search state, so one
+    instance serves every subproblem in turn."""
 
     def __init__(self, n: int, pattern: SimpleGraph, forbidden: SimpleGraph | None,
                  embeddings: list[tuple[int, ...]],
@@ -134,8 +114,7 @@ class _SubSolver:
         self.total_edges = total_edges
         self.budget = budget
         self.e_f = pattern.edge_count()
-        self.fast_triangle = (forbidden is not None and forbidden.n == 3
-                              and forbidden.edge_count() == 3)
+        self.fast_triangle = forbidden is not None and forbidden.is_cycle(3)
 
     def run(self, first: int):
         """Returns (value, chosen index tuple or None, optimal, nodes)."""
@@ -219,53 +198,56 @@ def max_rainbow_free_packing(cfg: SearchConfig) -> SearchResult:
     forbidden copy, plus a witness packing.
 
     Deterministic: the witness is the lexicographically smallest optimal
-    set of copy indices, independent of cfg.threads.  optimal=False means
-    the node budget ran out and value is only a certified lower bound.
+    set of copy indices.  optimal=False means the node budget ran out and
+    value is only a certified lower bound.
     """
     if cfg.n > _SOLVER_N_LIMIT:
         raise GuardError(f"solver guard: n={cfg.n} exceeds {_SOLVER_N_LIMIT}")
     host = cfg.host if cfg.host is not None else SimpleGraph.complete(cfg.n)
-    embeddings = enumerate_copies(cfg.n, cfg.pattern, host)
+    copies = enumerate_copies(cfg.n, cfg.pattern, host)
     host_edges = host.sorted_edges()
     edge_index = {e: i for i, e in enumerate(host_edges)}
-    copy_edges = []
+    copy_edges = [embedded_edges(cfg.pattern, emb) for emb in copies]
     masks = []
-    for emb in embeddings:
-        edges = sorted(_norm_edge(emb[u], emb[v]) for (u, v) in cfg.pattern.edges)
-        copy_edges.append(edges)
+    for edges in copy_edges:
         m = 0
         for e in edges:
             m |= 1 << edge_index[e]
         masks.append(m)
 
     symmetric_ground = cfg.host is None and cfg.symmetry_breaking
-    firsts = ([0] if embeddings else []) if symmetric_ground else list(range(len(embeddings)))
+    firsts = ([0] if copies else []) if symmetric_ground else list(range(len(copies)))
     budget_per = max(1, cfg.node_budget // max(1, len(firsts) + 1))
 
-    def solve_one(first: int):
-        sub = _SubSolver(cfg.n, cfg.pattern, cfg.forbidden, embeddings,
-                         copy_edges, masks, len(host_edges), budget_per)
-        return sub.run(first)
-
-    if cfg.threads > 1 and len(firsts) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(solve_one, firsts))
-    else:
-        results = [solve_one(first) for first in firsts]
-
+    sub = _SubSolver(cfg.n, cfg.pattern, cfg.forbidden, copies,
+                     copy_edges, masks, len(host_edges), budget_per)
     best_value = 0
     best_chosen: tuple[int, ...] = ()
     optimal = True
     nodes = 0
-    for (value, chosen, sub_optimal, sub_nodes) in results:
+    for first in firsts:
+        (value, chosen, sub_optimal, sub_nodes) = sub.run(first)
         nodes += sub_nodes
         optimal = optimal and sub_optimal
         if chosen is not None and value > best_value:
             best_value = value
             best_chosen = chosen
-    packing = ColoredPacking(cfg.n, cfg.pattern,
-                             [embeddings[i] for i in best_chosen])
+    packing = ColoredPacking(cfg.n, cfg.pattern, [copies[i] for i in best_chosen])
     return SearchResult(best_value, packing, optimal, nodes)
+
+
+def _naive_copies(pattern: SimpleGraph, host: SimpleGraph) -> list[tuple[int, ...]]:
+    """Unoptimized copy enumeration used only by the oracle.
+
+    Tries every injective vertex tuple in lexicographic order and keeps the
+    first, hence smallest, tuple per edge set; sorted like enumerate_copies.
+    """
+    first: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
+    for perm in itertools.permutations(range(host.n), pattern.n):
+        key = tuple(sorted(_norm_edge(perm[u], perm[v]) for (u, v) in pattern.edges))
+        if key not in first and all(e in host.edges for e in key):
+            first[key] = perm
+    return [first[key] for key in sorted(first)]
 
 
 def _naive_rainbow_scan(n: int, col: dict, forbidden: SimpleGraph) -> bool:
@@ -293,16 +275,20 @@ def oracle_max_packing(n: int, pattern: SimpleGraph,
     returns the first feasible subset, which is also the lexicographically
     smallest optimal witness.
     """
-    embeddings = enumerate_copies(n, pattern)
-    if len(embeddings) > _ORACLE_COPY_LIMIT:
+    if n > _SOLVER_N_LIMIT:
+        raise GuardError(f"oracle guard: n={n} exceeds {_SOLVER_N_LIMIT}")
+    if pattern.edge_count() == 0:
+        raise ValueError("pattern needs at least one edge")
+    copies = _naive_copies(pattern, SimpleGraph.complete(n))
+    if len(copies) > _ORACLE_COPY_LIMIT:
         raise GuardError(
-            f"oracle guard: {len(embeddings)} copies exceed {_ORACLE_COPY_LIMIT}")
+            f"oracle guard: {len(copies)} copies exceed {_ORACLE_COPY_LIMIT}")
     copy_edges = [
         sorted(_norm_edge(emb[u], emb[v]) for (u, v) in pattern.edges)
-        for emb in embeddings
+        for emb in copies
     ]
-    for r in range(len(embeddings), 0, -1):
-        for combo in itertools.combinations(range(len(embeddings)), r):
+    for r in range(len(copies), 0, -1):
+        for combo in itertools.combinations(range(len(copies)), r):
             col: dict[tuple[int, int], int] = {}
             clash = False
             for ci in combo:
@@ -317,5 +303,5 @@ def oracle_max_packing(n: int, pattern: SimpleGraph,
                 continue
             if forbidden is not None and _naive_rainbow_scan(n, col, forbidden):
                 continue
-            return (r, ColoredPacking(n, pattern, [embeddings[i] for i in combo]))
+            return (r, ColoredPacking(n, pattern, [copies[i] for i in combo]))
     return (0, ColoredPacking(n, pattern, []))

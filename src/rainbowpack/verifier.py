@@ -13,12 +13,11 @@ term, raising AuditError if any of them fails.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AuditError, GuardError
-from .graphs import ColoredPacking, SimpleGraph, _norm_edge
+from .graphs import ColoredPacking, SimpleGraph, _norm_edge, embeddings
 
 _TRIANGLE = SimpleGraph.complete(3)
 
@@ -65,18 +64,14 @@ class RainbowWitness:
         }
 
 
-def _is_triangle(g: SimpleGraph) -> bool:
-    return g.n == 3 and g.edge_count() == 3
-
-
 def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     """First rainbow copy of the forbidden graph, or None.
 
     The forbidden graph must be connected with at most 8 vertices.  For a
     triangle the scan walks host edges in sorted order and intersects
     neighborhoods, so the witness is the lexicographically smallest
-    rainbow triangle; the generic path backtracks over host vertices in
-    ascending order, which is deterministic as well.
+    rainbow triangle; any other graph takes the first map of the embedding
+    kernel, which tries host vertices in ascending order.
     """
     if forbidden.n > 8:
         raise GuardError(f"find_rainbow guard: forbidden graph has {forbidden.n} > 8 vertices")
@@ -90,9 +85,16 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
         adj[u].add(v)
         adj[v].add(u)
 
-    if _is_triangle(forbidden):
+    if forbidden.is_cycle(3):
         return _find_rainbow_triangle(adj, col)
-    return _find_rainbow_generic(adj, col, forbidden)
+    verts = next(embeddings(forbidden, adj, color=col), None)
+    if verts is None:
+        return None
+    edges = []
+    for (gu, gv) in forbidden.sorted_edges():
+        e = _norm_edge(verts[gu], verts[gv])
+        edges.append(((gu, gv), e, col[e]))
+    return RainbowWitness(verts, tuple(edges))
 
 
 def _find_rainbow_triangle(adj: list[set[int]], col: dict):
@@ -110,116 +112,13 @@ def _find_rainbow_triangle(adj: list[set[int]], col: dict):
     return None
 
 
-def _connected_order(g: SimpleGraph) -> list[int]:
-    """BFS order from vertex 0 so each later vertex touches an earlier one."""
-    adj = g.adjacency()
-    order = [0]
-    seen = {0}
-    head = 0
-    while head < len(order):
-        for w in sorted(adj[order[head]]):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-        head += 1
-    return order
-
-
-def _find_rainbow_generic(adj: list[set[int]], col: dict, forbidden: SimpleGraph):
-    order = _connected_order(forbidden)
-    g_adj = forbidden.adjacency()
-    n_host = len(adj)
-    image: dict[int, int] = {}
-    used_hosts: set[int] = set()
-    used_colors: set[int] = set()
-
-    def witness() -> RainbowWitness:
-        verts = tuple(image[i] for i in range(forbidden.n))
-        edges = tuple(
-            ((gu, gv), _norm_edge(verts[gu], verts[gv]),
-             col[_norm_edge(verts[gu], verts[gv])])
-            for (gu, gv) in forbidden.sorted_edges())
-        return RainbowWitness(verts, edges)
-
-    def extend(idx: int):
-        if idx == len(order):
-            return witness()
-        gv = order[idx]
-        anchors = [u for u in g_adj[gv] if u in image]
-        if anchors:
-            cands = set(adj[image[anchors[0]]])
-            for u in anchors[1:]:
-                cands &= adj[image[u]]
-        else:
-            cands = set(range(n_host))
-        for h in sorted(cands):
-            if h in used_hosts:
-                continue
-            new_cols = [col[_norm_edge(image[u], h)] for u in anchors]
-            if len(set(new_cols)) != len(new_cols) or used_colors & set(new_cols):
-                continue
-            image[gv] = h
-            used_hosts.add(h)
-            used_colors.update(new_cols)
-            found = extend(idx + 1)
-            if found is not None:
-                return found
-            used_colors.difference_update(new_cols)
-            used_hosts.remove(h)
-            del image[gv]
-        return None
-
-    return extend(0)
-
-
 def exists_homomorphism(g: SimpleGraph, f: SimpleGraph, limit: int = 12) -> bool:
     """Edge-preserving (not necessarily injective) map V(g) -> V(f)?"""
     if g.n > limit or f.n > limit:
         raise GuardError(f"exists_homomorphism guard: sizes exceed limit={limit}")
-    if g.n == 0:
-        return True
-    if f.n == 0:
-        return False
     if g.edge_count() > 0 and f.edge_count() == 0:
         return False
-    g_adj = g.adjacency()
-    f_adj = f.adjacency()
-    # component-wise BFS order; first vertex of a component is unanchored
-    order: list[int] = []
-    seen: set[int] = set()
-    for s in range(g.n):
-        if s in seen:
-            continue
-        seen.add(s)
-        queue = [s]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in sorted(g_adj[v]):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    image = [-1] * g.n
-
-    def assign(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        gv = order[idx]
-        anchors = [u for u in g_adj[gv] if image[u] >= 0]
-        if anchors:
-            cands = set(f_adj[image[anchors[0]]])
-            for u in anchors[1:]:
-                cands &= f_adj[image[u]]
-        else:
-            cands = set(range(f.n))
-        for fv in sorted(cands):
-            image[gv] = fv
-            if assign(idx + 1):
-                return True
-            image[gv] = -1
-        return False
-
-    return assign(0)
+    return next(embeddings(g, f.adjacency(), injective=False), None) is not None
 
 
 class OrderClass(enum.Enum):
@@ -238,11 +137,6 @@ def classify_order(pattern: SimpleGraph, forbidden: SimpleGraph) -> OrderClass:
     if exists_homomorphism(forbidden, pattern):
         return OrderClass.SUBQUADRATIC_LITTLE_O
     return OrderClass.QUADRATIC_THETA
-
-
-def _is_pentagon(g: SimpleGraph) -> bool:
-    return (g.n == 5 and g.edge_count() == 5 and g.is_connected()
-            and all(d == 2 for d in g.degrees()))
 
 
 @dataclass(frozen=True)
@@ -287,7 +181,7 @@ def pentagon_audit(packing: ColoredPacking) -> PentagonAudit:
     triangle exists (the inequalities assume there is none), or when any
     recomputed identity or inequality fails.
     """
-    if not _is_pentagon(packing.pattern):
+    if not packing.pattern.is_cycle(5):
         raise AuditError("pentagon_audit needs a 5-cycle pattern")
     bad = find_rainbow(packing, _TRIANGLE)
     if bad is not None:

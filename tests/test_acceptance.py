@@ -195,16 +195,12 @@ def test_criterion_10_solver_oracle_equivalence():
                 continue
             if len(enumerate_copies(n, pattern)) > 24:
                 continue
-            runs = []
-            for threads in (1, 4):
-                res = max_rainbow_free_packing(SearchConfig(
-                    n=n, pattern=pattern, forbidden=K3, threads=threads))
-                runs.append((res.value, res.packing.copies, res.optimal))
-            assert runs[0] == runs[1], (pattern.n, n)
+            res = max_rainbow_free_packing(SearchConfig(
+                n=n, pattern=pattern, forbidden=K3))
+            assert res.optimal, (pattern.n, n)
             oval, opack = oracle_max_packing(n, pattern, K3)
-            assert runs[0][0] == oval and runs[0][1] == opack.copies
+            assert res.value == oval and res.packing.copies == opack.copies
             checked += 1
     assert checked == 6
     print("criterion 10: PASS — solver equals the subset-enumeration oracle "
-          "with identical witnesses on all 6 small instances, bitwise "
-          "stable across thread counts {1, 4}")
+          "with identical witnesses on all 6 small instances")

@@ -98,9 +98,8 @@ def test_solve_sweep_csv(capsys):
 
 def test_solve_stdout_is_bitwise_deterministic(capsys):
     outs = set()
-    for threads in ("1", "4", "1"):
-        _, out, _ = run(capsys, ["solve", "--n", "6", "--threads", threads,
-                                 "--no-symmetry"])
+    for _ in range(3):
+        _, out, _ = run(capsys, ["solve", "--n", "6", "--no-symmetry"])
         outs.add(out)
     assert len(outs) == 1
 
@@ -198,15 +197,27 @@ def test_error_paths_exit_1(capsys, tmp_path):
         ["verify", "--G", "z9", "--in", "nope.json"],      # bad path
         ["optimize"],                                      # no k, no sweep
         ["report"],                                        # no mode
+        ["gadget", "--n", "0"],                            # n < 1
+        ["gadget", "--n", "-5"],
+        ["report", "--gadget-sizes", "100,0"],
     ]
     bad_json = tmp_path / "junk.json"
     bad_json.write_text('{"pattern": 3}')
     for argv in cases:
         code, out, err = run(capsys, argv)
         assert code == 1, argv
+        assert out == "", argv
         assert err.startswith("error:"), argv
     code, _, err = run(capsys, ["verify", "--in", str(bad_json)])
     assert code == 1 and "copies" in err
+
+
+@pytest.mark.parametrize("flag", ["--threads", "--seed"])
+def test_removed_flags_are_rejected(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--n", "5", flag, "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_solve_recursion_is_a_clean_error():

@@ -1,15 +1,18 @@
 """Data model: graphs, packings, blow-ups, chromatic number, girth."""
 
+import itertools
 import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rainbowpack import (BlowupSpec, ColoredPacking, PackingError, SimpleGraph,
                          blow_up, canonical_json, chromatic_number, girth,
                          union_graph)
 from rainbowpack.constructions import c5_blowup_packing, k5_double_pentagon
+from rainbowpack.graphs import embeddings
 
 
 def test_edge_normalization_and_value_equality():
@@ -124,6 +127,67 @@ def test_copy_edges_sorted():
     p = k5_double_pentagon()
     assert p.copy_edges(0) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
     assert p.copy_edges(1) == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
+
+
+def test_is_cycle():
+    assert SimpleGraph.complete(3).is_cycle(3)
+    assert SimpleGraph.cycle(5).is_cycle(5)
+    assert not SimpleGraph.complete(5).is_cycle(5)
+    assert not SimpleGraph.cycle(5).is_cycle(4)
+    assert not SimpleGraph.path(5).is_cycle(5)
+    two_triangles = SimpleGraph.from_edges(
+        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert not two_triangles.is_cycle(6)
+
+
+def _bfs_order(g: SimpleGraph) -> list[int]:
+    adj = g.adjacency()
+    order: list[int] = []
+    for root in range(g.n):
+        if root in order:
+            continue
+        queue = [root]
+        order.append(root)
+        while queue:
+            for w in sorted(adj[queue.pop(0)]):
+                if w not in order:
+                    order.append(w)
+                    queue.append(w)
+    return order
+
+
+@st.composite
+def _graph(draw, max_n: int) -> SimpleGraph:
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small=_graph(4), host=_graph(6), injective=st.booleans(),
+       colored=st.booleans(), data=st.data())
+def test_embedding_kernel_matches_brute_force(small, host, injective, colored, data):
+    edges = host.sorted_edges()
+    color = None
+    if colored:
+        color = dict(zip(edges, data.draw(st.lists(
+            st.integers(0, 3), min_size=len(edges), max_size=len(edges)))))
+    expected = []
+    for m in itertools.product(range(host.n), repeat=small.n):
+        if injective and len(set(m)) < small.n:
+            continue
+        images = [tuple(sorted((m[u], m[v]))) for (u, v) in small.edges]
+        if not all(e in host.edges for e in images):
+            continue
+        if color is not None and len({color[e] for e in images}) < len(images):
+            continue
+        expected.append(m)
+    # ascending candidates: maps come out sorted by their images in BFS order
+    order = _bfs_order(small)
+    expected.sort(key=lambda m: [m[v] for v in order])
+    got = list(embeddings(small, host.adjacency(), injective, color))
+    assert got == expected
 
 
 def test_packing_json_round_trip():

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,26 @@ def test_edgeless_pattern_rejected():
 def test_copy_guard():
     with pytest.raises(GuardError, match="copies exceed"):
         lp_fractional_packing(SimpleGraph.complete(25), K3)
+
+
+def test_copy_guard_stops_before_enumerating_everything():
+    # K30 passes the edge guard but holds about 1.7M pentagon embeddings
+    started = time.perf_counter()
+    with pytest.raises(GuardError, match="copies exceed 2000"):
+        lp_fractional_packing(SimpleGraph.complete(30), C5)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_validate_rejects_copies_outside_the_host():
+    path = SimpleGraph.path(3)
+    triangle = ((0, 1, 2),)
+    problem = FractionalPackingProblem(path, K3, triangle, (Fraction(1),))
+    with pytest.raises(ValueError, match="not a host edge"):
+        problem.validate()
+    with_duals = FractionalPackingProblem(path, K3, triangle, (Fraction(1),),
+                                          (Fraction(1), Fraction(0)))
+    with pytest.raises(ValueError, match="not a host edge"):
+        with_duals.validate()
 
 
 def test_edge_guard():

@@ -1,14 +1,18 @@
 """Exact branch-and-bound solver and its naive cross-check oracle."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rainbowpack import (GuardError, SearchConfig, SimpleGraph,
                          enumerate_copies, find_rainbow,
-                         max_rainbow_free_packing, oracle_max_packing)
+                         max_rainbow_free_packing, oracle_max_packing, solver)
+from rainbowpack.solver import _naive_copies
 
 K3 = SimpleGraph.complete(3)
 K4 = SimpleGraph.complete(4)
+C4 = SimpleGraph.cycle(4)
 C5 = SimpleGraph.cycle(5)
+P3 = SimpleGraph.path(3)
 
 
 def test_enumerate_copies_counts():
@@ -44,13 +48,27 @@ def test_enumerate_copies_guard():
     assert len(enumerate_copies(13, K3, limit=13)) == 286
 
 
+def test_enumerate_copies_copy_cap():
+    assert len(enumerate_copies(5, K3, max_copies=10)) == 10
+    with pytest.raises(GuardError, match="copies exceed 9"):
+        enumerate_copies(5, K3, max_copies=9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), pattern=st.sampled_from([K3, P3, C4, C5, K4]),
+       data=st.data())
+def test_enumerate_copies_matches_naive_enumeration(n, pattern, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    host = SimpleGraph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+    assert enumerate_copies(n, pattern, host) == _naive_copies(pattern, host)
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(n=-1, pattern=K3, forbidden=K3)
     with pytest.raises(ValueError):
         SearchConfig(n=4, pattern=K3, forbidden=K3, node_budget=0)
-    with pytest.raises(ValueError):
-        SearchConfig(n=4, pattern=K3, forbidden=K3, threads=0)
 
 
 def test_single_triangle():
@@ -91,21 +109,20 @@ def test_solver_equals_oracle_with_identical_witness():
             assert res.packing.copies == opack.copies, (pattern.n, n)
 
 
+def test_oracle_shares_no_enumeration_with_the_solver(monkeypatch):
+    def fast_path(*args, **kwargs):
+        raise AssertionError("the oracle called the solver's copy enumeration")
+
+    monkeypatch.setattr(solver, "enumerate_copies", fast_path)
+    monkeypatch.setattr(solver, "embeddings", fast_path)
+    value, packing = oracle_max_packing(5, C5, K3)
+    assert value == 2
+    assert packing.copies == ((0, 1, 3, 4, 2), (0, 3, 2, 1, 4))
+
+
 def test_oracle_guard():
     with pytest.raises(GuardError, match="oracle guard"):
         oracle_max_packing(7, K3, K3)  # 35 copies
-
-
-def test_thread_count_does_not_change_anything():
-    base = None
-    for threads in (1, 2, 4):
-        cfg = SearchConfig(n=6, pattern=K3, forbidden=K3, threads=threads,
-                           symmetry_breaking=False)
-        res = max_rainbow_free_packing(cfg)
-        out = (res.value, res.packing.copies, res.optimal)
-        if base is None:
-            base = out
-        assert out == base
 
 
 def test_symmetry_setting_does_not_change_witness():

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rainbowpack import (AuditError, ColoredPacking, GuardError, OrderClass,
                          SimpleGraph, behrend_q_free, c5_blowup_packing,
@@ -117,6 +118,22 @@ def test_homomorphism_basics():
     assert not exists_homomorphism(SimpleGraph.complete(4), K3)
     assert exists_homomorphism(SimpleGraph.empty(3), SimpleGraph.empty(1))
     assert not exists_homomorphism(K3, SimpleGraph.empty(2))
+
+
+@st.composite
+def _graph(draw, max_n: int) -> SimpleGraph:
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_graph(5), f=_graph(5))
+def test_homomorphism_matches_brute_force(g, f):
+    brute = any(all(tuple(sorted((m[u], m[v]))) in f.edges for (u, v) in g.edges)
+                for m in itertools.product(range(f.n), repeat=g.n))
+    assert exists_homomorphism(g, f) == brute
 
 
 def test_homomorphism_guard():
