@@ -55,10 +55,13 @@ def parse_graph(spec: str) -> SimpleGraph:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition("..")
-    if not hi:
+    lo_text, _, hi_text = text.partition("..")
+    if not hi_text:
         raise ValueError(f"range must look like 3..10, got {text!r}")
-    return (int(lo), int(hi))
+    lo, hi = int(lo_text), int(hi_text)
+    if lo > hi:
+        raise ValueError(f"range {text!r} is empty: {lo} > {hi}")
+    return (lo, hi)
 
 
 def _fmt(x) -> str:

@@ -2,8 +2,13 @@
 
 The search enumerates every copy of the pattern in the host (complete
 graph by default), then walks include/exclude decisions in a fixed copy
-order.  Branches that would create a rainbow copy of the forbidden graph
-are rejected incrementally, and value pruning uses the free-edge budget.
+order.  It recurses only on include and walks the excludes in a loop, so
+the stack depth is at most the packing size plus one.  A bitmask of the
+copies that share no edge with the packing lets the walk jump to the next
+copy that fits; every copy index it passes still counts as one node.
+A copy that would create a rainbow copy of the forbidden graph is
+rejected when it is included (a triangle is tested before the copy is
+placed), and value pruning uses the free-edge budget.
 The tree is split into independent subproblems keyed by the first
 included copy; subproblems are solved in order and merged with a fixed
 tie-break, so the result is bitwise identical from run to run.
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from .errors import GuardError
 from .graphs import (ColoredPacking, SimpleGraph, _norm_edge, embedded_edges,
                      embeddings)
-from .verifier import find_rainbow
+from .verifier import check_forbidden
 
 _SOLVER_N_LIMIT = 12
 _ORACLE_COPY_LIMIT = 24
@@ -99,22 +104,32 @@ class _BudgetUp(Exception):
 class _SubSolver:
     """Subproblem search: run(first) covers the packings whose first
     included copy is ``first`` and resets all search state, so one
-    instance serves every subproblem in turn."""
+    instance serves every subproblem in turn.
 
-    def __init__(self, n: int, pattern: SimpleGraph, forbidden: SimpleGraph | None,
-                 embeddings: list[tuple[int, ...]],
+    ``avail`` is a bitmask over copy indices: the copies that share no edge
+    with the current union.  ``keep[e]`` clears the copies through host edge
+    e, so an include costs e(F) ANDs and the exclude walk can jump to the
+    next set bit instead of visiting each clashing copy.
+    """
+
+    def __init__(self, n: int, forbidden: SimpleGraph | None, e_f: int,
                  copy_edges: list[list[tuple[int, int]]],
-                 masks: list[int], total_edges: int, budget: int):
+                 edge_ids: list[list[int]], total_edges: int, budget: int):
         self.n = n
-        self.pattern = pattern
         self.forbidden = forbidden
-        self.embeddings = embeddings
         self.copy_edges = copy_edges
-        self.masks = masks
-        self.total_edges = total_edges
+        self.edge_ids = edge_ids
         self.budget = budget
-        self.e_f = pattern.edge_count()
+        self.n_copies = len(copy_edges)
+        self.cap = total_edges // e_f  # copies that fit into the host's edges
         self.fast_triangle = forbidden is not None and forbidden.is_cycle(3)
+        self.generic = forbidden is not None and not self.fast_triangle
+        self.everything = (1 << self.n_copies) - 1
+        through = [0] * total_edges
+        for i, ids in enumerate(edge_ids):
+            for e in ids:
+                through[e] |= 1 << i
+        self.keep = [self.everything & ~m for m in through]
 
     def run(self, first: int):
         """Returns (value, chosen index tuple or None, optimal, nodes)."""
@@ -122,7 +137,8 @@ class _SubSolver:
         self.best_value = 0
         self.best_chosen: tuple[int, ...] | None = None
         self.chosen: list[int] = []
-        self.used = 0
+        self.avail = self.everything
+        self.avail_stack: list[int] = []
         self.adj: list[set[int]] = [set() for _ in range(self.n)]
         self.col: dict[tuple[int, int], int] = {}
         optimal = True
@@ -136,61 +152,79 @@ class _SubSolver:
         return (self.best_value, self.best_chosen, optimal, self.nodes)
 
     def _dfs(self, idx: int) -> None:
+        """Node idx with the current union, then its exclude successors.
+
+        Recurses only on include, so the depth is at most value + 1.  Every
+        position the exclude walk passes still counts as one node: a copy
+        that clashes with the union is a node with no include branch.
+        """
         self.nodes += 1
         if self.nodes > self.budget:
             raise _BudgetUp
-        if len(self.chosen) > self.best_value:
-            self.best_value = len(self.chosen)
+        c = len(self.chosen)
+        if c > self.best_value:
+            self.best_value = c
             self.best_chosen = tuple(self.chosen)
-        if idx == len(self.embeddings):
-            return
-        free = self.total_edges - self.used.bit_count()
-        bound = len(self.chosen) + min(len(self.embeddings) - idx, free // self.e_f)
-        if bound <= self.best_value:
-            return
-        if not (self.masks[idx] & self.used) and self._include(idx):
-            self._dfs(idx + 1)
-            self._undo(idx)
-        self._dfs(idx + 1)
+        # node p passes the bound c + min(copies left, free edges // e(F))
+        # > best exactly when p < end, so the walk stops at end
+        last = self.n_copies
+        cap = self.cap
+        end = last + c - self.best_value if cap > self.best_value else 0
+        while idx < end:
+            if (self.avail >> idx) & 1 and self._include(idx):
+                self._dfs(idx + 1)
+                self._undo(idx)
+                best = self.best_value
+                end = last + c - best if cap > best else 0
+            # exclude idx: count every position up to the next disjoint copy,
+            # or up to the first one whose bound fails
+            nxt = end if end > idx else idx + 1
+            rest = self.avail >> (idx + 1)
+            if rest:
+                low = idx + (rest & -rest).bit_length()
+                if low < nxt:
+                    nxt = low
+            self.nodes += nxt - idx
+            if self.nodes > self.budget:
+                self.nodes = self.budget + 1
+                raise _BudgetUp
+            idx = nxt
 
     def _include(self, idx: int) -> bool:
-        color = len(self.chosen)
         edges = self.copy_edges[idx]
-        for (u, v) in edges:
-            self.col[(u, v)] = color
-            self.adj[u].add(v)
-            self.adj[v].add(u)
-        self.used |= self.masks[idx]
-        self.chosen.append(idx)
-        if self.forbidden is None:
-            return True
+        adj = self.adj
+        col = self.col
         if self.fast_triangle:
-            ok = not self._new_rainbow_triangle(edges, color)
-        else:
-            packing = ColoredPacking(
-                self.n, self.pattern, [self.embeddings[i] for i in self.chosen])
-            ok = find_rainbow(packing, self.forbidden) is None
-        if not ok:
+            # a rainbow triangle through a new edge has its other two edges
+            # already placed, in two different colors
+            for (u, v) in edges:
+                for z in adj[u] & adj[v]:
+                    if (col[(u, z) if u < z else (z, u)]
+                            != col[(v, z) if v < z else (z, v)]):
+                        return False
+        if self.forbidden is not None:  # the union is read only by the checks
+            color = len(self.chosen)
+            for (u, v) in edges:
+                col[(u, v)] = color
+                adj[u].add(v)
+                adj[v].add(u)
+        self.avail_stack.append(self.avail)
+        for e in self.edge_ids[idx]:
+            self.avail &= self.keep[e]
+        self.chosen.append(idx)
+        if self.generic and next(embeddings(self.forbidden, adj, color=col), None) is not None:
             self._undo(idx)
-        return ok
-
-    def _new_rainbow_triangle(self, new_edges, color: int) -> bool:
-        # any rainbow triangle in the extended union must use a new edge
-        for (u, v) in new_edges:
-            for z in self.adj[u] & self.adj[v]:
-                cu = self.col[_norm_edge(u, z)]
-                cv = self.col[_norm_edge(v, z)]
-                if cu != cv and cu != color and cv != color:
-                    return True
-        return False
+            return False
+        return True
 
     def _undo(self, idx: int) -> None:
         self.chosen.pop()
-        self.used &= ~self.masks[idx]
-        for (u, v) in self.copy_edges[idx]:
-            del self.col[(u, v)]
-            self.adj[u].discard(v)
-            self.adj[v].discard(u)
+        self.avail = self.avail_stack.pop()
+        if self.forbidden is not None:
+            for (u, v) in self.copy_edges[idx]:
+                del self.col[(u, v)]
+                self.adj[u].discard(v)
+                self.adj[v].discard(u)
 
 
 def max_rainbow_free_packing(cfg: SearchConfig) -> SearchResult:
@@ -203,24 +237,21 @@ def max_rainbow_free_packing(cfg: SearchConfig) -> SearchResult:
     """
     if cfg.n > _SOLVER_N_LIMIT:
         raise GuardError(f"solver guard: n={cfg.n} exceeds {_SOLVER_N_LIMIT}")
+    if cfg.forbidden is not None:
+        check_forbidden(cfg.forbidden)
     host = cfg.host if cfg.host is not None else SimpleGraph.complete(cfg.n)
     copies = enumerate_copies(cfg.n, cfg.pattern, host)
     host_edges = host.sorted_edges()
     edge_index = {e: i for i, e in enumerate(host_edges)}
     copy_edges = [embedded_edges(cfg.pattern, emb) for emb in copies]
-    masks = []
-    for edges in copy_edges:
-        m = 0
-        for e in edges:
-            m |= 1 << edge_index[e]
-        masks.append(m)
+    edge_ids = [[edge_index[e] for e in edges] for edges in copy_edges]
 
     symmetric_ground = cfg.host is None and cfg.symmetry_breaking
     firsts = ([0] if copies else []) if symmetric_ground else list(range(len(copies)))
     budget_per = max(1, cfg.node_budget // max(1, len(firsts) + 1))
 
-    sub = _SubSolver(cfg.n, cfg.pattern, cfg.forbidden, copies,
-                     copy_edges, masks, len(host_edges), budget_per)
+    sub = _SubSolver(cfg.n, cfg.forbidden, cfg.pattern.edge_count(), copy_edges,
+                     edge_ids, len(host_edges), budget_per)
     best_value = 0
     best_chosen: tuple[int, ...] = ()
     optimal = True

@@ -64,6 +64,17 @@ class RainbowWitness:
         }
 
 
+def check_forbidden(forbidden: SimpleGraph) -> None:
+    """Reject a forbidden graph the rainbow search does not take: more than
+    8 vertices (GuardError), no edges or disconnected (ValueError)."""
+    if forbidden.n > 8:
+        raise GuardError(f"find_rainbow guard: forbidden graph has {forbidden.n} > 8 vertices")
+    if forbidden.edge_count() == 0:
+        raise ValueError("forbidden graph needs at least one edge")
+    if not forbidden.is_connected():
+        raise ValueError("forbidden graph must be connected")
+
+
 def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     """First rainbow copy of the forbidden graph, or None.
 
@@ -73,12 +84,7 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     rainbow triangle; any other graph takes the first map of the embedding
     kernel, which tries host vertices in ascending order.
     """
-    if forbidden.n > 8:
-        raise GuardError(f"find_rainbow guard: forbidden graph has {forbidden.n} > 8 vertices")
-    if forbidden.edge_count() == 0:
-        raise ValueError("forbidden graph needs at least one edge")
-    if not forbidden.is_connected():
-        raise ValueError("forbidden graph must be connected")
+    check_forbidden(forbidden)
     col = packing.edge_color
     adj: list[set[int]] = [set() for _ in range(packing.n)]
     for (u, v) in col:

@@ -1,12 +1,16 @@
 """Exact branch-and-bound solver and its naive cross-check oracle."""
 
+import hashlib
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rainbowpack import (GuardError, SearchConfig, SimpleGraph,
                          enumerate_copies, find_rainbow,
                          max_rainbow_free_packing, oracle_max_packing, solver)
-from rainbowpack.solver import _naive_copies
+from rainbowpack.graphs import canonical_json
+from rainbowpack.solver import _naive_copies, _naive_rainbow_scan
 
 K3 = SimpleGraph.complete(3)
 K4 = SimpleGraph.complete(4)
@@ -183,3 +187,106 @@ def test_solver_guard():
 def test_no_copies_fit():
     res = max_rainbow_free_packing(SearchConfig(n=4, pattern=C5, forbidden=K3))
     assert res.value == 0 and res.optimal and len(res.packing) == 0
+
+
+# (value, optimal, nodes, sha256 of the packing JSON), recorded with the
+# recursive include/exclude walk that visited every copy index one node at
+# a time.  The budget-cut rows stop inside a run of clashing copies, so they
+# pin the bulk node count and the position of the cut exactly.
+_HOST8 = SimpleGraph.from_edges(
+    8, [(u, v) for u in range(8) for v in range(u + 1, 8) if (5 * u + 3 * v) % 7])
+GOLDEN_SOLVES = [
+    (dict(n=8, pattern=K3, forbidden=K3, node_budget=500),
+     (4, False, 251, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
+    (dict(n=8, pattern=K3, forbidden=K3, node_budget=2000),
+     (4, False, 1001, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
+    (dict(n=7, pattern=K3, forbidden=K3),
+     (3, True, 660, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
+    (dict(n=7, pattern=K3, forbidden=K3, symmetry_breaking=False),
+     (3, True, 10126, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
+    (dict(n=7, pattern=C5, forbidden=K3, node_budget=3000, symmetry_breaking=False),
+     (2, False, 2979, "6afe7c74023be03485d493cf6bbcd0819a46e1bdf40c720f1c1ed3f9e6a64cc7")),
+    (dict(n=8, pattern=C5, forbidden=K3),
+     (3, True, 131859, "54601c268590b2f5314427ab670e13a8c24e9c378910ca42385f933bda18371d")),
+    (dict(n=8, pattern=C5, forbidden=K3, node_budget=5000),
+     (3, False, 2501, "54601c268590b2f5314427ab670e13a8c24e9c378910ca42385f933bda18371d")),
+    (dict(n=7, pattern=K3, forbidden=C4, node_budget=700),
+     (4, False, 351, "b17b01d6bd8ec1366caf8ff5830a9b2562a4c7859f0eac351e344f87d4a568e7")),
+    (dict(n=6, pattern=K3, forbidden=C5),
+     (4, True, 130, "3acddfa608ecfb3d5297842d09ff5997f6ede0934d73cc05f92a02ba8f81bf90")),
+    (dict(n=8, pattern=K3, forbidden=None, node_budget=1000),
+     (8, False, 501, "86cbc5bbb57f6a9d63e46cd3f1865ba264fe185bccb933e7ec6c903dbd3f9294")),
+    (dict(n=7, pattern=K4, forbidden=K3),
+     (2, True, 59, "388de8ac22b5494c75dfada1f56e88a222e17d1fb18168ed99d2f4737f17e90e")),
+    (dict(n=7, pattern=C4, forbidden=K3),
+     (2, True, 1547, "f258a0f60e824ed114dbeef3a1010e90a25e4286ecdd70408bb9dafbbd0761ad")),
+    (dict(n=10, pattern=C5, forbidden=K3, host=SimpleGraph.petersen()),
+     (2, True, 106, "fc9b351bceff287fb62c78d4c230f7d9a5f542afb61ad7cb651464161c2f8c2a")),
+    (dict(n=8, pattern=K3, forbidden=K3, host=_HOST8, node_budget=4000),
+     (4, False, 2628, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
+]
+
+
+def _fingerprint(res):
+    digest = hashlib.sha256(canonical_json(res.packing.to_json_dict()).encode()).hexdigest()
+    return (res.value, res.optimal, res.nodes, digest)
+
+
+@pytest.mark.parametrize("kwargs, want", GOLDEN_SOLVES,
+                         ids=[f"case{i}" for i in range(len(GOLDEN_SOLVES))])
+def test_golden_solver_table(kwargs, want):
+    assert _fingerprint(max_rainbow_free_packing(SearchConfig(**kwargs))) == want
+
+
+def _stack_depth() -> int:
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_deep_search_needs_no_deep_stack(n):
+    # K9 has 1,512 pentagons and K12 9,504; a walk that recursed once per
+    # copy would need that many frames, this one needs at most value + 1
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        res = max_rainbow_free_packing(
+            SearchConfig(n=n, pattern=C5, forbidden=K3, node_budget=20_000))
+    finally:
+        sys.setrecursionlimit(old)
+    assert not res.optimal and res.value >= 1
+    assert not _naive_rainbow_scan(n, res.packing.edge_color, K3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 7), pattern=st.sampled_from([K3, C4, C5]), data=st.data())
+def test_triangle_check_matches_the_embedding_kernel(n, pattern, data):
+    # with K3 not recognized as a triangle the solver checks every include
+    # with the embedding kernel; the search tree must not change
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    host = SimpleGraph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+    cfg = SearchConfig(n=n, pattern=pattern, forbidden=K3, host=host, node_budget=3000)
+    fast = max_rainbow_free_packing(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SimpleGraph, "is_cycle", lambda self, k: False)
+        generic = max_rainbow_free_packing(cfg)
+    assert _fingerprint(fast) == _fingerprint(generic)
+    assert not _naive_rainbow_scan(n, fast.packing.edge_color, K3)
+
+
+def test_forbidden_graph_guards():
+    with pytest.raises(GuardError, match="9 > 8 vertices"):
+        max_rainbow_free_packing(
+            SearchConfig(n=6, pattern=K3, forbidden=SimpleGraph.cycle(9)))
+    two_edges = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="connected"):
+        max_rainbow_free_packing(SearchConfig(n=6, pattern=K3, forbidden=two_edges))
+    # checked before the search, so also when no copy fits
+    with pytest.raises(GuardError):
+        max_rainbow_free_packing(
+            SearchConfig(n=4, pattern=C5, forbidden=SimpleGraph.cycle(9)))
