@@ -109,7 +109,7 @@ def _cmd_verify(args) -> tuple[str, str, dict]:
     else:
         raw = sys.stdin.read()
     obj = json.loads(raw)
-    if "copies" not in obj:
+    if not isinstance(obj, dict) or "copies" not in obj:
         raise ValueError("verify expects a packing object with a 'copies' field")
     packing = ColoredPacking.from_json_dict(obj)
     forbidden = parse_graph(args.forbidden)

@@ -20,12 +20,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .certificates import FAIL, PASS, Certificate
 from .errors import BudgetError, GuardError
 
-_NUMPY_SAFE = 1 << 60
+_BRUTEFORCE_N_LIMIT = 60
+_BRUTEFORCE_NODE_BUDGET = 20_000_000
 
 
 def is_q_limited_triple(a: int, b: int, c: int, q: int) -> bool:
@@ -129,22 +128,16 @@ def verify_q_free(elements, q: int) -> Certificate:
 
     Returns a PASS certificate, or a FAIL certificate carrying the
     lexicographically smallest witness (a, b, c, lam, mu).  Cost is
-    O(|Z|^2 q^2) membership tests, vectorized when elements fit in int64.
+    O(|Z|^2 q^2) membership tests.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     elems = _check_distinct(elements)
     pairs_scanned = len(elems) * max(0, len(elems) - 1) * q * q
-    base_payload = {"q": q, "size": len(elems), "pairsScanned": pairs_scanned}
-    if len(elems) < 3:
-        return Certificate(PASS, dict(base_payload))
-
-    if all(abs(x) < _NUMPY_SAFE // (2 * q) for x in elems):
-        witness = _scan_numpy(elems, q)
-    else:
-        witness = _scan_python(elems, q)
+    witness = _scan(elems, q)
     if witness is None:
-        return Certificate(PASS, dict(base_payload))
+        return Certificate(PASS, {"q": q, "size": len(elems),
+                                  "pairsScanned": pairs_scanned})
     a, b, c, lam, mu = witness
     return Certificate(FAIL, {
         "q": q,
@@ -152,47 +145,25 @@ def verify_q_free(elements, q: int) -> Certificate:
     })
 
 
-def _scan_numpy(elems: list[int], q: int):
-    arr = np.asarray(elems, dtype=np.int64)
+def _scan(elems: list[int], q: int):
+    """Smallest (a, b, c, lam, mu) with lam*a + mu*b = (lam+mu)*c, or None.
+
+    For fixed a, lam and mu the b's are the values (lam+mu)*c - lam*a with
+    c != a that lie in {mu*b}.  c != a is the whole distinctness test: if
+    any two of a, b, c were equal, all three would be.
+    """
+    mu_multiples = {mu: {mu * b for b in elems} for mu in range(1, q + 1)}
     for a in elems:
         hits = []
         for lam in range(1, q + 1):
+            t = lam * a
             for mu in range(1, q + 1):
-                num = lam * a + mu * arr
-                div = lam + mu
-                cand = num // div
-                mask = (num == cand * div) & (arr != a)
-                idx = np.searchsorted(arr, cand)
-                idx_ok = idx < len(arr)
-                safe = np.where(idx_ok, idx, 0)
-                mask &= idx_ok & (arr[safe] == cand) & (cand != a) & (cand != arr)
-                for pos in np.nonzero(mask)[0]:
-                    hits.append((int(arr[pos]), int(cand[pos]), lam, mu))
+                s = lam + mu
+                for v in mu_multiples[mu].intersection(
+                        [s * c - t for c in elems if c != a]):
+                    hits.append((v // mu, (v + t) // s, lam, mu))
         if hits:
-            b, c, lam, mu = min(hits)
-            return (a, b, c, lam, mu)
-    return None
-
-
-def _scan_python(elems: list[int], q: int):
-    in_set = set(elems)
-    for a in elems:
-        hits = []
-        for b in elems:
-            if b == a:
-                continue
-            for lam in range(1, q + 1):
-                for mu in range(1, q + 1):
-                    num = lam * a + mu * b
-                    div = lam + mu
-                    if num % div:
-                        continue
-                    c = num // div
-                    if c in in_set and c != a and c != b:
-                        hits.append((b, c, lam, mu))
-        if hits:
-            b, c, lam, mu = min(hits)
-            return (a, b, c, lam, mu)
+            return (a,) + min(hits)
     return None
 
 
@@ -354,18 +325,19 @@ def _bad_triples(n: int, q: int) -> dict[tuple[int, int], set[int]]:
     return comp
 
 
-def max_q_free_bruteforce(n: int, q: int, limit: int = 60,
-                          node_budget: int = 20_000_000) -> tuple[int, tuple[int, ...]]:
+def max_q_free_bruteforce(n: int, q: int) -> tuple[int, tuple[int, ...]]:
     """Exact maximum q-limited-free subset of [1, n] by branch and bound.
 
     Scans elements in ascending order, include branch first, so the first
     optimum found is the lexicographically smallest one.  Guarded to
-    n <= limit; raises BudgetError if the tree outgrows node_budget.
+    n <= _BRUTEFORCE_N_LIMIT; raises BudgetError if the tree outgrows
+    _BRUTEFORCE_NODE_BUDGET nodes.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if n > limit:
-        raise GuardError(f"max_q_free_bruteforce guard: n={n} exceeds limit={limit}")
+    if n > _BRUTEFORCE_N_LIMIT:
+        raise GuardError(f"max_q_free_bruteforce guard: n={n} exceeds "
+                         f"limit={_BRUTEFORCE_N_LIMIT}")
     if n < 1:
         return (0, ())
     comp = _bad_triples(n, q)
@@ -377,8 +349,9 @@ def max_q_free_bruteforce(n: int, q: int, limit: int = 60,
                candidates: list[int]) -> None:
         nonlocal best_size, best_set, nodes
         nodes += 1
-        if nodes > node_budget:
-            raise BudgetError(f"max_q_free_bruteforce exceeded {node_budget} nodes")
+        if nodes > _BRUTEFORCE_NODE_BUDGET:
+            raise BudgetError(
+                f"max_q_free_bruteforce exceeded {_BRUTEFORCE_NODE_BUDGET} nodes")
         if len(chosen) > best_size:
             best_size = len(chosen)
             best_set = tuple(chosen)

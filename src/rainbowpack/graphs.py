@@ -8,17 +8,45 @@ the copy index doubles as the color of every edge inside that copy.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 from .errors import GuardError, PackingError
 
+_CHROMATIC_N_LIMIT = 16
+
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
     if u == v:
         raise ValueError(f"loop edge ({u},{u}) not allowed")
     return (u, v) if u < v else (v, u)
+
+
+def _json_fields(obj, what: str, *keys: str) -> list:
+    """The named fields of a decoded JSON object; ValueError otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks the field(s) {', '.join(missing)}")
+    return [obj[k] for k in keys]
+
+
+def _json_int(x, what: str) -> int:
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _json_int_rows(rows, what: str) -> list[tuple[int, ...]]:
+    """A decoded JSON list of integer lists, as tuples; ValueError otherwise."""
+    # whole-list type sets keep the check cheap on packings with many copies
+    if (type(rows) is not list or not set(map(type, rows)) <= {list}
+            or not set(map(type, itertools.chain.from_iterable(rows))) <= {int}):
+        raise ValueError(f"{what} must be a list of integer lists")
+    return [tuple(row) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -112,7 +140,11 @@ class SimpleGraph:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "SimpleGraph":
-        return SimpleGraph.from_edges(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+        n, edges = _json_fields(obj, "graph", "n", "edges")
+        pairs = _json_int_rows(edges, "graph edges")
+        if any(len(e) != 2 for e in pairs):
+            raise ValueError("each of the graph edges must have two vertices")
+        return SimpleGraph.from_edges(_json_int(n, "graph n"), pairs)
 
     def to_json(self) -> str:
         return canonical_json(self.to_json_dict())
@@ -182,10 +214,11 @@ class ColoredPacking:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "ColoredPacking":
+        n, pattern, copies = _json_fields(obj, "packing", "n", "pattern", "copies")
         return ColoredPacking(
-            int(obj["n"]),
-            SimpleGraph.from_json_dict(obj["pattern"]),
-            [tuple(c) for c in obj["copies"]],
+            _json_int(n, "packing n"),
+            SimpleGraph.from_json_dict(pattern),
+            _json_int_rows(copies, "packing copies"),
         )
 
     def to_json(self) -> str:
@@ -323,15 +356,16 @@ def _greedy_clique(adj: list[set[int]], order: list[int]) -> list[int]:
     return clique
 
 
-def chromatic_number(g: SimpleGraph, limit: int = 16) -> int:
+def chromatic_number(g: SimpleGraph) -> int:
     """Exact chromatic number by branch and bound.
 
     Vertices are colored in descending degree order; a greedy clique gives
     the lower bound and a fresh color is opened only one at a time, which
-    kills color-permutation symmetry.  Guarded to n <= limit.
+    kills color-permutation symmetry.  Guarded to n <= _CHROMATIC_N_LIMIT.
     """
-    if g.n > limit:
-        raise GuardError(f"chromatic_number guard: n={g.n} exceeds limit={limit}")
+    if g.n > _CHROMATIC_N_LIMIT:
+        raise GuardError(f"chromatic_number guard: n={g.n} exceeds "
+                         f"limit={_CHROMATIC_N_LIMIT}")
     if g.n == 0:
         return 0
     if not g.edges:

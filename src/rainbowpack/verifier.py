@@ -20,6 +20,7 @@ from .errors import AuditError, GuardError
 from .graphs import ColoredPacking, SimpleGraph, _norm_edge, embeddings
 
 _TRIANGLE = SimpleGraph.complete(3)
+_HOMOMORPHISM_N_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -118,10 +119,11 @@ def _find_rainbow_triangle(adj: list[set[int]], col: dict):
     return None
 
 
-def exists_homomorphism(g: SimpleGraph, f: SimpleGraph, limit: int = 12) -> bool:
+def exists_homomorphism(g: SimpleGraph, f: SimpleGraph) -> bool:
     """Edge-preserving (not necessarily injective) map V(g) -> V(f)?"""
-    if g.n > limit or f.n > limit:
-        raise GuardError(f"exists_homomorphism guard: sizes exceed limit={limit}")
+    if g.n > _HOMOMORPHISM_N_LIMIT or f.n > _HOMOMORPHISM_N_LIMIT:
+        raise GuardError(f"exists_homomorphism guard: sizes exceed "
+                         f"limit={_HOMOMORPHISM_N_LIMIT}")
     if g.edge_count() > 0 and f.edge_count() == 0:
         return False
     return next(embeddings(g, f.adjacency(), injective=False), None) is not None

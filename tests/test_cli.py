@@ -1,5 +1,6 @@
 """Command line interface: payloads, exit codes, determinism."""
 
+import io
 import json
 import subprocess
 import sys
@@ -189,7 +190,8 @@ def test_out_file_and_cert_envelope(capsys, tmp_path):
     assert cert["version"]
 
 
-def test_error_paths_exit_1(capsys, tmp_path):
+def test_error_paths_exit_1(capsys, monkeypatch, tmp_path):
+    k3 = {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
     cases = [
         ["construct", "--family", "kt", "--t", "3"],      # missing --n
         ["solve", "--n", "20"],                            # solver guard
@@ -204,6 +206,25 @@ def test_error_paths_exit_1(capsys, tmp_path):
         ["optimize", "--sweep", "10..3"],
         ["report", "--pentagon", "7..5"],
     ]
+    # malformed JSON: the wrong shape, missing fields, non-integer vertices
+    for i, doc in enumerate([
+        5,
+        {"copies": [[0, 1, 2]]},
+        {"n": 3, "copies": [[0, 1, 2]]},
+        {"n": 3, "pattern": k3, "copies": 7},
+        {"n": 3, "pattern": k3, "copies": [["a", 1, 2]]},
+        {"n": 3, "pattern": k3, "copies": [[2.5, 1, 2]]},
+        {"n": 3, "pattern": {"n": 3}, "copies": [[0, 1, 2]]},
+    ]):
+        path = tmp_path / f"packing{i}.json"
+        path.write_text(json.dumps(doc))
+        cases.append(["verify", "--in", str(path)])
+    no_edges = tmp_path / "no_edges.json"
+    no_edges.write_text('{"n": 3}')
+    not_object = tmp_path / "not_object.json"
+    not_object.write_text("[1]")
+    cases += [["lp", "--host", f"json:{no_edges}", "--pattern", "k3"],
+              ["solve", "--n", "4", "--G", f"json:{not_object}"]]
     bad_json = tmp_path / "junk.json"
     bad_json.write_text('{"pattern": 3}')
     for argv in cases:
@@ -213,6 +234,9 @@ def test_error_paths_exit_1(capsys, tmp_path):
         assert err.startswith("error:"), argv
     code, _, err = run(capsys, ["verify", "--in", str(bad_json)])
     assert code == 1 and "copies" in err
+    monkeypatch.setattr(sys, "stdin", io.StringIO("5\n"))   # echo 5 | verify
+    code, out, err = run(capsys, ["verify"])
+    assert (code, out) == (1, "") and err.startswith("error:")
 
 
 @pytest.mark.parametrize("flag", ["--threads", "--seed"])

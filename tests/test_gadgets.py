@@ -2,8 +2,11 @@
 
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rainbowpack import (BudgetError, Gadget, GuardError, QFreeSet,
                          behrend_q_free, enumerate_gadgets, gadget_satisfied,
@@ -96,14 +99,45 @@ def test_verify_q_free_big_integers_use_exact_path():
     assert verify_q_free((x, 2 * x, 5 * x), 1).ok()
 
 
-def test_scan_backends_agree(seed=7211):
-    from rainbowpack.gadgets import _scan_numpy, _scan_python
-    rng = random.Random(seed)
-    for _ in range(60):
-        size = rng.randint(3, 12)
-        elems = sorted(rng.sample(range(1, 200), size))
-        q = rng.randint(1, 3)
-        assert _scan_numpy(elems, q) == _scan_python(elems, q)
+def _lexmin_witness(elems, q):
+    """Brute force: the first q-limited (a, b, c) over all ordered triples,
+    with its smallest (lam, mu)."""
+    for a, b, c in itertools.product(sorted(elems), repeat=3):
+        if is_q_limited_triple(a, b, c, q):
+            lam, mu = min((lam, mu) for lam in range(1, q + 1) for mu in range(1, q + 1)
+                          if lam * a + mu * b == (lam + mu) * c)
+            return {"a": a, "b": b, "c": c, "lam": lam, "mu": mu}
+    return None
+
+
+_SCAN_ELEMENTS = st.one_of(
+    st.integers(-40, -1),
+    st.integers(0, 40),
+    st.integers(2**61, 2**61 + 40),             # products overflow int64
+    st.integers(1, 8).map(lambda k: k << 61),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(elems=st.sets(_SCAN_ELEMENTS, max_size=12), q=st.sampled_from([1, 2, 3]))
+@example(elems={1, 2, 4, 7}, q=2)  # a = 1 hits (7, 4, 1, 1) before the smaller (4, 2, 2, 1)
+def test_verify_q_free_matches_brute_force(elems, q):
+    cert = verify_q_free(elems, q)
+    expect = _lexmin_witness(elems, q)
+    if expect is None:
+        assert cert.ok()
+        assert cert.payload == {"q": q, "size": len(elems),
+                                "pairsScanned": len(elems) * max(0, len(elems) - 1) * q * q}
+    else:
+        assert not cert.ok()
+        assert cert.payload == {"q": q, "witness": expect}
+
+
+def test_import_leaves_numpy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rainbowpack; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_q_monotonicity(seed=3314):
