@@ -15,15 +15,14 @@ from .constructions import (UnbalancedBlowupShape, c5_blowup_packing,
                             perfect_decomposition_check, unbalanced_blowup,
                             unbalanced_edge_count)
 from .errors import AuditError, BudgetError, GuardError, PackingError
-from .gadgets import (Gadget, QFreeSet, behrend_q_free, enumerate_gadgets,
-                      gadget_satisfied, is_q_limited_triple,
-                      max_q_free_bruteforce, verify_gadget_free, verify_q_free)
+from .gadgets import (QFreeSet, behrend_q_free, is_q_limited_triple,
+                      max_q_free_bruteforce, verify_q_free)
 from .graphs import (BlowupSpec, ColoredPacking, SimpleGraph, blow_up,
-                     canonical_json, chromatic_number, girth, union_graph)
+                     canonical_json, union_graph)
 from .lp import FractionalPackingProblem, lp_fractional_packing
 from .optimizer import (WeightTriple, c5_decomposition_coeff, class_ratios,
-                        density, maximize_density, reference_coeffs,
-                        reference_triple, solve_abg, upper_bound_coeff)
+                        density, maximize_density, reference_triple,
+                        solve_abg, upper_bound_coeff)
 from .solver import (SearchConfig, SearchResult, enumerate_copies,
                      max_rainbow_free_packing, oracle_max_packing)
 from .verifier import (OrderClass, PentagonAudit, RainbowWitness,
@@ -40,7 +39,6 @@ __all__ = [
     "ColoredPacking",
     "FAIL",
     "FractionalPackingProblem",
-    "Gadget",
     "GuardError",
     "LOWER_BOUND",
     "OrderClass",
@@ -59,16 +57,12 @@ __all__ = [
     "c5_blowup_packing",
     "c5_decomposition_coeff",
     "canonical_json",
-    "chromatic_number",
     "class_ratios",
     "classify_order",
     "density",
     "enumerate_copies",
-    "enumerate_gadgets",
     "exists_homomorphism",
     "find_rainbow",
-    "gadget_satisfied",
-    "girth",
     "is_q_limited_triple",
     "k5_double_pentagon",
     "kt_packing",
@@ -79,13 +73,11 @@ __all__ = [
     "oracle_max_packing",
     "pentagon_audit",
     "perfect_decomposition_check",
-    "reference_coeffs",
     "reference_triple",
     "solve_abg",
     "unbalanced_blowup",
     "unbalanced_edge_count",
     "union_graph",
     "upper_bound_coeff",
-    "verify_gadget_free",
     "verify_q_free",
 ]

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import canonical_json
-
 PASS = "PASS"
 FAIL = "FAIL"
 LOWER_BOUND = "LOWER_BOUND"
@@ -28,10 +26,6 @@ class Certificate:
 
     def ok(self) -> bool:
         return self.verdict == PASS
-
-    def payload_json(self) -> str:
-        """Canonical bytes of verdict plus payload, used for determinism checks."""
-        return canonical_json({"verdict": self.verdict, "payload": self.payload})
 
     def to_json_dict(self) -> dict:
         out = {"verdict": self.verdict, "payload": self.payload}

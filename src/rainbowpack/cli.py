@@ -27,10 +27,9 @@ from .constructions import (UnbalancedBlowupShape, c5_blowup_packing,
 from .errors import GuardError, PackingError
 from .gadgets import behrend_q_free
 from .graphs import ColoredPacking, SimpleGraph, canonical_json
-from .lp import lp_fractional_packing
-from .optimizer import (WeightTriple, c5_decomposition_coeff, density,
-                        maximize_density, reference_triple, solve_abg,
-                        upper_bound_coeff)
+from .lp import _LP_EDGE_LIMIT, lp_fractional_packing
+from .optimizer import (c5_decomposition_coeff, density, maximize_density,
+                        reference_triple, solve_abg, upper_bound_coeff)
 from .solver import SearchConfig, max_rainbow_free_packing
 from .verifier import find_rainbow, pentagon_audit
 
@@ -38,7 +37,11 @@ _TRIANGLE = SimpleGraph.complete(3)
 
 
 def parse_graph(spec: str) -> SimpleGraph:
-    """Accepts k<N>, c<N>, edge, petersen, or json:<path>."""
+    """Accepts k<N>, c<N>, edge, petersen, or json:<path>.
+
+    k<N> and c<N> with more edges than the LP takes are rejected before
+    they are built: no command can use them, and K_N grows with N^2.
+    """
     s = spec.strip().lower()
     if s == "edge":
         return SimpleGraph.complete(2)
@@ -47,10 +50,13 @@ def parse_graph(spec: str) -> SimpleGraph:
     if s.startswith("json:"):
         with open(spec[5:], "r", encoding="utf-8") as fh:
             return SimpleGraph.from_json_dict(json.load(fh))
-    if s.startswith("k") and s[1:].isdigit():
-        return SimpleGraph.complete(int(s[1:]))
-    if s.startswith("c") and s[1:].isdigit():
-        return SimpleGraph.cycle(int(s[1:]))
+    if s[:1] in ("k", "c") and s[1:].isdigit():
+        n = int(s[1:])
+        edges = n * (n - 1) // 2 if s[0] == "k" else n
+        if edges > _LP_EDGE_LIMIT:
+            raise GuardError(f"graph spec {spec!r} has {edges} edges, "
+                             f"more than any command takes ({_LP_EDGE_LIMIT})")
+        return SimpleGraph.complete(n) if s[0] == "k" else SimpleGraph.cycle(n)
     raise ValueError(f"cannot parse graph spec {spec!r}")
 
 

@@ -1,10 +1,8 @@
-"""Ratio-limited triples, linear gadgets, and progression-free set machinery.
+"""Ratio-limited triples and progression-free set machinery.
 
 A triple (a, b, c) of pairwise distinct integers is q-limited when
 lam*a + mu*b = (lam+mu)*c for some integers 1 <= lam, mu <= q.  With q = 1
 this is exactly the 3-term arithmetic progression condition a + b = 2c.
-A gadget generalizes this to a system of k-2 independent equations in k
-unknowns; sets admitting no solution in distinct elements are gadget-free.
 
 The constructive side produces large q-limited-free subsets of [1, n] by
 the digit-sphere method: write candidates in base d with digits below s
@@ -18,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .certificates import FAIL, PASS, Certificate
 from .errors import BudgetError, GuardError
@@ -41,88 +38,6 @@ def is_q_limited_triple(a: int, b: int, c: int, q: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class Gadget:
-    """System of k-2 equations p*x_i + q*x_j = (p+q)*x_l over k unknowns.
-
-    Equations are (p, q, i, j, l) tuples with 1-based variable indices.
-    Validation requires coefficients in (0, h], distinct indices per
-    equation, every unknown mentioned somewhere, and full row rank over
-    the rationals (checked by exact Gaussian elimination).
-    """
-
-    k: int
-    h: int
-    equations: tuple[tuple[int, int, int, int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.k < 3:
-            raise ValueError("gadget needs k >= 3 unknowns")
-        if self.h < 1:
-            raise ValueError("coefficient bound h must be >= 1")
-        if len(self.equations) != self.k - 2:
-            raise ValueError(
-                f"gadget on k={self.k} unknowns needs exactly {self.k - 2} equations")
-        seen_vars: set[int] = set()
-        for (p, q, i, j, l) in self.equations:
-            if not (0 < p <= self.h and 0 < q <= self.h):
-                raise ValueError(f"coefficients ({p},{q}) outside (0,{self.h}]")
-            if len({i, j, l}) != 3 or not all(1 <= t <= self.k for t in (i, j, l)):
-                raise ValueError(f"indices ({i},{j},{l}) invalid for k={self.k}")
-            seen_vars.update((i, j, l))
-        if seen_vars != set(range(1, self.k + 1)):
-            missing = sorted(set(range(1, self.k + 1)) - seen_vars)
-            raise ValueError(f"unknowns {missing} appear in no equation")
-        if _rank(self._rows()) != self.k - 2:
-            raise ValueError("equations are linearly dependent")
-
-    def _rows(self) -> list[list[int]]:
-        rows = []
-        for (p, q, i, j, l) in self.equations:
-            row = [0] * self.k
-            row[i - 1] += p
-            row[j - 1] += q
-            row[l - 1] -= p + q
-            rows.append(row)
-        return rows
-
-
-def _rank(rows: list[list[int]]) -> int:
-    """Row rank over the rationals, exact."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def gadget_satisfied(gadget: Gadget, z: tuple[int, ...]) -> bool:
-    """Evaluate every equation of the gadget on the assignment z."""
-    if len(z) != gadget.k:
-        raise ValueError(f"assignment has {len(z)} values, gadget expects {gadget.k}")
-    return all(
-        p * z[i - 1] + q * z[j - 1] == (p + q) * z[l - 1]
-        for (p, q, i, j, l) in gadget.equations)
-
-
-def _check_distinct(elements) -> list[int]:
-    elems = list(elements)
-    if len(set(elems)) != len(elems):
-        raise ValueError("elements must be distinct")
-    return sorted(elems)
-
-
 def verify_q_free(elements, q: int) -> Certificate:
     """Scan all ordered pairs and coefficient choices for a q-limited triple.
 
@@ -132,7 +47,9 @@ def verify_q_free(elements, q: int) -> Certificate:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    elems = _check_distinct(elements)
+    elems = sorted(elements)
+    if len(set(elems)) != len(elems):
+        raise ValueError("elements must be distinct")
     pairs_scanned = len(elems) * max(0, len(elems) - 1) * q * q
     witness = _scan(elems, q)
     if witness is None:
@@ -165,65 +82,6 @@ def _scan(elems: list[int], q: int):
         if hits:
             return (a,) + min(hits)
     return None
-
-
-def _canonical_equations(k: int, h: int):
-    """All structurally distinct single equations with i < j."""
-    eqs = []
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            for l in range(1, k + 1):
-                if l in (i, j):
-                    continue
-                for p in range(1, h + 1):
-                    for q in range(1, h + 1):
-                        eqs.append((p, q, i, j, l))
-    return sorted(eqs)
-
-
-def enumerate_gadgets(k: int, h: int) -> list[Gadget]:
-    """Every valid gadget on k unknowns with coefficients <= h, up to
-    reordering of equations."""
-    out = []
-    for combo in itertools.combinations(_canonical_equations(k, h), k - 2):
-        try:
-            out.append(Gadget(k, h, combo))
-        except ValueError:
-            continue
-    return out
-
-
-def verify_gadget_free(elements, k: int, h: int,
-                       budget: int = 10_000_000) -> Certificate:
-    """Search every (gadget, assignment) pair for a solution in distinct
-    elements.  FAIL carries the first hit in lexicographic scan order,
-    which is the smallest witness."""
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    elems = _check_distinct(elements)
-    gadgets = enumerate_gadgets(k, h)
-    checked = 0
-    if len(elems) >= k:
-        for gadget in gadgets:
-            for z in itertools.permutations(elems, k):
-                checked += 1
-                if checked > budget:
-                    raise BudgetError(
-                        f"verify_gadget_free exceeded budget={budget} checks")
-                if gadget_satisfied(gadget, z):
-                    return Certificate(FAIL, {
-                        "k": k, "h": h,
-                        "witness": {
-                            "equations": [list(e) for e in gadget.equations],
-                            "assignment": list(z),
-                        },
-                    })
-    return Certificate(PASS, {
-        "k": k, "h": h, "size": len(elems),
-        "gadgetsChecked": len(gadgets), "assignmentsChecked": checked,
-    })
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import GuardError, PackingError
-
-_CHROMATIC_N_LIMIT = 16
+from .errors import PackingError
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -296,6 +293,16 @@ def embeddings(small: SimpleGraph, host_adj: list[set[int]],
     # vertex in ascending order and intersections are single integer ANDs
     nbr = [sum(1 << w for w in nb) for nb in host_adj]
     everything = (1 << len(host_adj)) - 1
+    # a position with no placed neighbor tries only host vertices of enough
+    # degree: a copy keeps the degree, a homomorphism needs one neighbor, so
+    # isolated host vertices cost nothing; the mask is read from a bit
+    # string, which takes linear time where summing shifts is quadratic
+    start = [everything] * len(order)
+    for i, v in enumerate(order):
+        if not anchors[i]:
+            need = len(s_adj[v]) if injective else min(len(s_adj[v]), 1)
+            start[i] = int("".join("1" if len(nb) >= need else "0"
+                                   for nb in reversed(host_adj)) or "0", 2)
     last = len(order) - 1
     image = [-1] * small.n
     used = 0
@@ -305,7 +312,7 @@ def embeddings(small: SimpleGraph, host_adj: list[set[int]],
     rest = [0] * len(order)
     placed: list = [()] * len(order)
     added: list = [()] * len(order)
-    rest[0] = everything
+    rest[0] = start[0]
     i = 0
     while i >= 0:
         v = order[i]
@@ -340,92 +347,9 @@ def embeddings(small: SimpleGraph, host_adj: list[set[int]],
             added[i] = new
             used_colors |= new
         i += 1
-        m = everything & ~used
+        m = start[i] & ~used
         for u in anchors[i]:
             m &= nbr[image[u]]
         rest[i] = m
         if color is not None:
             placed[i] = [image[u] for u in anchors[i]]
-
-
-def _greedy_clique(adj: list[set[int]], order: list[int]) -> list[int]:
-    clique: list[int] = []
-    for v in order:
-        if all(v in adj[u] for u in clique):
-            clique.append(v)
-    return clique
-
-
-def chromatic_number(g: SimpleGraph) -> int:
-    """Exact chromatic number by branch and bound.
-
-    Vertices are colored in descending degree order; a greedy clique gives
-    the lower bound and a fresh color is opened only one at a time, which
-    kills color-permutation symmetry.  Guarded to n <= _CHROMATIC_N_LIMIT.
-    """
-    if g.n > _CHROMATIC_N_LIMIT:
-        raise GuardError(f"chromatic_number guard: n={g.n} exceeds "
-                         f"limit={_CHROMATIC_N_LIMIT}")
-    if g.n == 0:
-        return 0
-    if not g.edges:
-        return 1
-    adj = g.adjacency()
-    deg_order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
-    lower = len(_greedy_clique(adj, deg_order))
-
-    def colorable(k: int) -> bool:
-        color = [-1] * g.n
-
-        def place(idx: int, used: int) -> bool:
-            if idx == len(deg_order):
-                return True
-            v = deg_order[idx]
-            taken = {color[u] for u in adj[v] if color[u] >= 0}
-            # trying at most one brand-new color keeps the search canonical
-            for c in range(min(used + 1, k)):
-                if c in taken:
-                    continue
-                color[v] = c
-                if place(idx + 1, max(used, c + 1)):
-                    return True
-                color[v] = -1
-            return False
-
-        return place(0, 0)
-
-    k = lower
-    while not colorable(k):
-        k += 1
-    return k
-
-
-def girth(g: SimpleGraph):
-    """Length of a shortest cycle, or math.inf for forests.
-
-    BFS from every vertex; a non-tree edge closing two root paths of depths
-    d1 and d2 witnesses a closed walk of length d1+d2+1, and the minimum of
-    those over all roots is the girth.
-    """
-    adj = g.adjacency()
-    best = math.inf
-    for root in range(g.n):
-        dist = {root: 0}
-        parent = {root: -1}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif parent[u] != w:
-                        cyc = dist[u] + dist[w] + 1
-                        if cyc < best:
-                            best = cyc
-            frontier = nxt
-        if best == 3:
-            break
-    return best

@@ -18,12 +18,10 @@ exactly, so the identity check is exact as well.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import UnbalancedBlowupShape
-from .graphs import SimpleGraph, chromatic_number
 
 
 def _exact(x) -> Fraction:
@@ -179,18 +177,3 @@ def c5_decomposition_coeff(k: int) -> Fraction:
     if k < 2:
         raise ValueError("k must be >= 2")
     return Fraction(1, 5 * (2 * k + 1))
-
-
-def reference_coeffs(pattern: SimpleGraph, forbidden: SimpleGraph) -> Fraction:
-    """Blow-up coefficient (1 - 1/(chi(forbidden)-1)) / (2 e(pattern)).
-
-    Requires chi(pattern) < chi(forbidden), otherwise monochromatic
-    blow-ups of the pattern contain the forbidden graph and the
-    construction breaks down.
-    """
-    chi_f = chromatic_number(pattern)
-    chi_g = chromatic_number(forbidden)
-    if chi_f >= chi_g:
-        raise ValueError(
-            f"need chi(pattern)={chi_f} < chi(forbidden)={chi_g}")
-    return (1 - Fraction(1, chi_g - 1)) / (2 * pattern.edge_count())

@@ -69,7 +69,7 @@ def check_forbidden(forbidden: SimpleGraph) -> None:
     """Reject a forbidden graph the rainbow search does not take: more than
     8 vertices (GuardError), no edges or disconnected (ValueError)."""
     if forbidden.n > 8:
-        raise GuardError(f"find_rainbow guard: forbidden graph has {forbidden.n} > 8 vertices")
+        raise GuardError(f"forbidden graph has {forbidden.n} > 8 vertices (limit 8)")
     if forbidden.edge_count() == 0:
         raise ValueError("forbidden graph needs at least one edge")
     if not forbidden.is_connected():

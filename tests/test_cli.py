@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from rainbowpack import ColoredPacking, SimpleGraph, cli
+from rainbowpack import ColoredPacking, GuardError, SimpleGraph, cli
 from rainbowpack.cli import main, parse_graph
 
 K3 = SimpleGraph.complete(3)
@@ -30,6 +30,20 @@ def test_parse_graph_specs(tmp_path):
     assert parse_graph(f"json:{path}") == SimpleGraph.cycle(7)
     with pytest.raises(ValueError, match="cannot parse"):
         parse_graph("z9")
+
+
+def test_parse_graph_rejects_specs_over_the_edge_limit(capsys):
+    # the LP's 2000-edge limit bounds every command; K_63 has 1953 edges
+    assert parse_graph("k63").edge_count() == 1953
+    assert parse_graph("c2000").edge_count() == 2000
+    for spec, edges in (("k64", 2016), ("c2001", 2001), ("K2000", 1999000)):
+        with pytest.raises(GuardError, match=f"has {edges} edges"):
+            parse_graph(spec)
+    # rejected before K_N is built, so N^2 memory is never asked for
+    code, out, err = run(capsys, ["lp", "--host", "k20000"])
+    assert (code, out) == (1, "")
+    assert err == ("error: graph spec 'k20000' has 199990000 edges, "
+                   "more than any command takes (2000)\n")
 
 
 def test_construct_k5(capsys):

@@ -1,4 +1,4 @@
-"""Ratio-limited triples, gadgets, and progression-free set construction."""
+"""Ratio-limited triples and progression-free set construction."""
 
 import itertools
 import random
@@ -8,10 +8,9 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rainbowpack import (BudgetError, Gadget, GuardError, QFreeSet,
-                         behrend_q_free, enumerate_gadgets, gadget_satisfied,
+from rainbowpack import (GuardError, QFreeSet, behrend_q_free,
                          is_q_limited_triple, max_q_free_bruteforce,
-                         verify_gadget_free, verify_q_free)
+                         verify_q_free)
 
 CLASSIC_AP_FREE = (1, 2, 4, 5, 10, 11, 13, 14)
 
@@ -31,40 +30,6 @@ def test_q1_matches_direct_progression_test():
             for c in range(1, 51):
                 expect = len({a, b, c}) == 3 and a + b == 2 * c
                 assert is_q_limited_triple(a, b, c, 1) == expect
-
-
-def test_gadget_validation():
-    g = Gadget(3, 1, ((1, 1, 1, 3, 2),))  # x1 + x3 = 2 x2
-    assert gadget_satisfied(g, (1, 2, 3))
-    assert gadget_satisfied(g, (7, 7, 7))  # constant assignments always work
-    assert not gadget_satisfied(g, (1, 2, 4))
-    with pytest.raises(ValueError, match="expects 3"):
-        gadget_satisfied(g, (1, 2))
-
-    with pytest.raises(ValueError):
-        Gadget(3, 1, ())  # wrong equation count
-    with pytest.raises(ValueError):
-        Gadget(3, 1, ((2, 1, 1, 3, 2),))  # coefficient above h
-    with pytest.raises(ValueError):
-        Gadget(3, 1, ((1, 1, 1, 1, 2),))  # repeated index
-    with pytest.raises(ValueError):
-        Gadget(4, 1, ((1, 1, 1, 3, 2), (1, 1, 1, 3, 2)))  # dependent rows
-    with pytest.raises(ValueError, match=r"\[4\] appear in no equation"):
-        Gadget(4, 2, ((1, 1, 1, 3, 2), (2, 2, 1, 2, 3)))
-
-
-def test_gadget_rank_check_catches_scaled_duplicates():
-    # second row is twice the first; coverage is satisfied via the third row
-    with pytest.raises(ValueError, match="dependent"):
-        Gadget(5, 2, ((1, 1, 1, 2, 3), (2, 2, 1, 2, 3), (1, 1, 3, 4, 5)))
-    Gadget(5, 2, ((1, 1, 1, 2, 3), (2, 1, 1, 2, 3), (1, 1, 3, 4, 5)))  # rank 3, fine
-
-
-def test_enumerate_gadgets_smallest_case():
-    gs = enumerate_gadgets(3, 1)
-    assert len(gs) == 3
-    eqs = sorted(g.equations[0] for g in gs)
-    assert eqs == [(1, 1, 1, 2, 3), (1, 1, 1, 3, 2), (1, 1, 2, 3, 1)]
 
 
 def test_verify_q_free_pass_and_fail():
@@ -158,33 +123,6 @@ def test_affine_invariance(seed=1209):
         shift = rng.randint(0, 50)
         moved = tuple(m * z + shift for z in base)
         assert verify_q_free(moved, 2).ok()
-
-
-def test_verify_gadget_free_cases():
-    assert verify_gadget_free((1, 2), 3, 5).ok()
-
-    cert = verify_gadget_free((1, 2, 3), 3, 1)
-    assert not cert.ok()
-    assert cert.payload["witness"]["equations"] == [[1, 1, 1, 2, 3]]
-    # 1*x1 + 1*x2 = 2*x3 with assignment (1, 3, 2)
-    assert cert.payload["witness"]["assignment"] == [1, 3, 2]
-
-    assert verify_gadget_free(CLASSIC_AP_FREE, 3, 1).ok()
-
-
-def test_verify_gadget_free_budget():
-    # the set is gadget-free, so the scan must run out of budget, not exit early
-    with pytest.raises(BudgetError):
-        verify_gadget_free(CLASSIC_AP_FREE, 3, 1, budget=10)
-
-
-def test_gadget_free_matches_q_free_at_k3():
-    # single-equation gadgets with h=q express exactly the q-limited triples
-    rng = random.Random(551)
-    for _ in range(15):
-        elems = tuple(sorted(rng.sample(range(1, 80), rng.randint(3, 8))))
-        for q in (1, 2):
-            assert verify_gadget_free(elems, 3, q).ok() == verify_q_free(elems, q).ok()
 
 
 def test_qfreeset_invariants():

@@ -1,16 +1,15 @@
-"""Data model: graphs, packings, blow-ups, chromatic number, girth."""
+"""Data model: graphs, packings, blow-ups, the embedding kernel."""
 
 import itertools
 import json
-import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rainbowpack import (BlowupSpec, ColoredPacking, PackingError, SimpleGraph,
-                         blow_up, canonical_json, chromatic_number, girth,
-                         union_graph)
+                         blow_up, canonical_json, union_graph)
 from rainbowpack.constructions import c5_blowup_packing, k5_double_pentagon
 from rainbowpack.graphs import embeddings
 
@@ -190,6 +189,19 @@ def test_embedding_kernel_matches_brute_force(small, host, injective, colored, d
     assert got == expected
 
 
+def test_embedding_kernel_roots_skip_isolated_host_vertices():
+    # a root tries only host vertices of enough degree; trying all of them
+    # made the search quadratic in the isolated vertices, tens of seconds
+    # at this size
+    adj = SimpleGraph.from_edges(300_000, [(0, 1), (1, 2), (0, 2)]).adjacency()
+    t0 = time.perf_counter()
+    copies = list(embeddings(SimpleGraph.complete(3), adj))
+    homs = list(embeddings(SimpleGraph.path(3), adj, injective=False))
+    assert time.perf_counter() - t0 < 5.0
+    assert copies == list(itertools.permutations(range(3)))
+    assert len(homs) == 12 and homs[0] == (0, 1, 0)
+
+
 def test_packing_json_round_trip():
     p = c5_blowup_packing(3)
     q = ColoredPacking.from_json_dict(json.loads(p.to_json()))
@@ -239,29 +251,3 @@ def test_blow_up_of_triangle_free_base_is_triangle_free(seed=919):
 def test_blowup_spec_length_mismatch():
     with pytest.raises(ValueError):
         BlowupSpec(SimpleGraph.cycle(5), (1, 1, 1))
-
-
-def test_chromatic_number_known_values():
-    assert chromatic_number(SimpleGraph.cycle(5)) == 3
-    assert chromatic_number(SimpleGraph.complete(4)) == 4
-    assert chromatic_number(SimpleGraph.petersen()) == 3
-    assert chromatic_number(SimpleGraph.empty(5)) == 1
-    assert chromatic_number(SimpleGraph.empty(0)) == 0
-    assert chromatic_number(SimpleGraph.path(2)) == 2
-    assert chromatic_number(SimpleGraph.cycle(6)) == 2
-
-
-def test_chromatic_number_guard():
-    from rainbowpack import GuardError
-    with pytest.raises(GuardError):
-        chromatic_number(SimpleGraph.empty(17))
-
-
-def test_girth_known_values():
-    assert girth(SimpleGraph.complete(3)) == 3
-    assert girth(SimpleGraph.cycle(7)) == 7
-    assert girth(SimpleGraph.path(4)) == math.inf
-    assert girth(SimpleGraph.petersen()) == 5
-    assert girth(blow_up(BlowupSpec(SimpleGraph.cycle(5), (2,) * 5))) == 4
-    assert girth(SimpleGraph.complete(5)) == 3
-    assert girth(SimpleGraph.empty(3)) == math.inf

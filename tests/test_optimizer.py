@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from rainbowpack import (SimpleGraph, WeightTriple, c5_decomposition_coeff,
-                         class_ratios, density, maximize_density,
-                         reference_coeffs, reference_triple, solve_abg,
-                         upper_bound_coeff)
+from rainbowpack import (WeightTriple, c5_decomposition_coeff, class_ratios,
+                         density, maximize_density, reference_triple,
+                         solve_abg, upper_bound_coeff)
 
 F = Fraction
 
@@ -139,16 +138,3 @@ def test_c5_decomposition_coeff():
     assert c5_decomposition_coeff(2) == upper_bound_coeff(2)
     for k in range(3, 40):
         assert c5_decomposition_coeff(k) < upper_bound_coeff(k)
-
-
-def test_reference_coeffs():
-    K2 = SimpleGraph.complete(2)
-    K3 = SimpleGraph.complete(3)
-    K4 = SimpleGraph.complete(4)
-    assert reference_coeffs(K2, K3) == F(1, 4)
-    assert reference_coeffs(SimpleGraph.cycle(4), K3) == F(1, 16)
-    assert reference_coeffs(K3, K4) == F(1, 9)
-    with pytest.raises(ValueError, match="chi"):
-        reference_coeffs(K3, K3)
-    with pytest.raises(ValueError, match="chi"):
-        reference_coeffs(SimpleGraph.cycle(5), K3)  # odd cycle needs chi 3
