@@ -116,28 +116,30 @@ class QFreeSet:
 
 
 def _digit_sphere_candidates(n: int, q: int):
-    """Yield (size, elements) for each (dimension, base) grid point."""
+    """Yield the elements of the fullest sphere for each (dimension, base)."""
     max_dim = max(2, int(math.log2(n)) + 1) if n >= 4 else 2
     for dim in range(2, max_dim + 1):
         root = math.ceil(n ** (1.0 / dim))
         for d in (root, root + 1):
             if d < 2 * q + 1:
                 continue  # digit bound needs room: 2q(s-1) < d with s >= 2
-            s = max(2, (d - 1) // (2 * q) + 1)
+            s = (d - 1) // (2 * q) + 1
             assert 2 * q * (s - 1) < d
             by_norm: dict[int, list[int]] = {}
-            for digits in itertools.product(range(s), repeat=dim):
+            vectors = itertools.product(range(s), repeat=dim)
+            next(vectors)  # the zero vector; the rest ascend in value, as s <= d
+            for digits in vectors:
                 val = 0
                 for t in digits:
                     val = val * d + t
-                if not 1 <= val <= n:
-                    continue
+                if val > n:
+                    break
                 r = sum(t * t for t in digits)
                 by_norm.setdefault(r, []).append(val)
             if not by_norm:
                 continue
             best_r = max(sorted(by_norm), key=lambda r: len(by_norm[r]))
-            yield sorted(by_norm[best_r])
+            yield by_norm[best_r]  # ascending, like the vectors
 
 
 def behrend_q_free(n: int, q: int) -> QFreeSet:

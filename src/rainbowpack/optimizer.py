@@ -73,7 +73,8 @@ def solve_abg(w: WeightTriple, n: int = 0) -> UnbalancedBlowupShape:
     return UnbalancedBlowupShape(alpha, alpha * beta_alpha, alpha * gamma_alpha, n)
 
 
-def _density_exact(k: int, lam: Fraction, mu: Fraction, delta: Fraction) -> Fraction:
+def _density_exact(k: int, lam, mu, delta):
+    """The closed form: exact on Fractions, maximize_density's objective on floats."""
     r1 = (lam + (k - 1) * mu + delta) / (lam + mu + (2 * k - 3) * delta)
     r2 = ((k - 1) * lam + mu + delta) / (lam + (k - 1) * mu + delta)
     return ((2 * k + 1) * (lam + mu + delta)
@@ -97,13 +98,6 @@ def density(w: WeightTriple) -> float:
     return float(closed)
 
 
-def _density_float(k: int, lam: float, mu: float, delta: float) -> float:
-    den1 = lam + mu + (2 * k - 3) * delta
-    r1 = (lam + (k - 1) * mu + delta) / den1
-    r2 = ((k - 1) * lam + mu + delta) / (lam + (k - 1) * mu + delta)
-    return (2 * k + 1) * (lam + mu + delta) / (den1 * (2 + 2 * r1 + r2) ** 2)
-
-
 def reference_triple(k: int) -> WeightTriple:
     """The closed-form good triple (0, 1, (-1 + cbrt(4k+15)) / 2).
 
@@ -119,32 +113,35 @@ def reference_triple(k: int) -> WeightTriple:
     return WeightTriple(k, 0.0, 1.0, (-1.0 + target ** (1.0 / 3.0)) / 2.0)
 
 
-def maximize_density(k: int, grid: int = 64,
-                     tol: float = 1e-9) -> tuple[WeightTriple, float]:
+_GRID = 64
+_TOL = 1e-9
+
+
+def maximize_density(k: int) -> tuple[WeightTriple, float]:
     """Best weight triple on the simplex lam + mu + delta = 1.
 
-    Seeds with a uniform grid of spacing 1/grid, then runs deterministic
+    Seeds with a uniform grid of spacing 1/_GRID, then runs deterministic
     pattern descent, shifting mass between coordinate pairs with a step
-    that halves down to tol.  The density is scale-invariant, so the
+    that halves down to _TOL.  The density is scale-invariant, so the
     simplex normalization loses nothing.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
 
     def value(pt) -> float:
-        return _density_float(k, pt[0], pt[1], pt[2])
+        return _density_exact(k, pt[0], pt[1], pt[2])
 
     best_pt = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
     best_val = value(best_pt)
-    for i in range(grid + 1):
-        for j in range(grid + 1 - i):
-            pt = (i / grid, j / grid, (grid - i - j) / grid)
+    for i in range(_GRID + 1):
+        for j in range(_GRID + 1 - i):
+            pt = (i / _GRID, j / _GRID, (_GRID - i - j) / _GRID)
             v = value(pt)
             if v > best_val:
                 best_val, best_pt = v, pt
 
-    step = 1.0 / grid
-    while step > tol:
+    step = 1.0 / _GRID
+    while step > _TOL:
         improved = False
         for s in range(3):
             for t in range(3):

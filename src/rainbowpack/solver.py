@@ -9,9 +9,10 @@ copy that fits; every copy index it passes still counts as one node.
 A copy that would create a rainbow copy of the forbidden graph is
 rejected when it is included (a triangle is tested before the copy is
 placed), and value pruning uses the free-edge budget.
-The tree is split into independent subproblems keyed by the first
-included copy; subproblems are solved in order and merged with a fixed
-tie-break, so the result is bitwise identical from run to run.
+The tree is split into subproblems keyed by the first included copy, each
+with an equal share of the node budget, solved in order against one
+incumbent that only a strictly larger packing replaces, so the result is
+bitwise identical from run to run.
 
 oracle_max_packing is the deliberately naive cross-check: copies from
 plain vertex permutations, full subset enumeration and a from-scratch
@@ -103,8 +104,9 @@ class _BudgetUp(Exception):
 
 class _SubSolver:
     """Subproblem search: run(first) covers the packings whose first
-    included copy is ``first`` and resets all search state, so one
-    instance serves every subproblem in turn.
+    included copy is ``first``.  It resets the union but keeps the
+    incumbent (best_value, best_chosen), so each subproblem in turn prunes
+    against the best packing found so far.
 
     ``avail`` is a bitmask over copy indices: the copies that share no edge
     with the current union.  ``keep[e]`` clears the copies through host edge
@@ -130,12 +132,12 @@ class _SubSolver:
             for e in ids:
                 through[e] |= 1 << i
         self.keep = [self.everything & ~m for m in through]
-
-    def run(self, first: int):
-        """Returns (value, chosen index tuple or None, optimal, nodes)."""
-        self.nodes = 0
         self.best_value = 0
-        self.best_chosen: tuple[int, ...] | None = None
+        self.best_chosen: tuple[int, ...] = ()
+
+    def run(self, first: int) -> tuple[bool, int]:
+        """Returns (optimal, nodes) of this subproblem."""
+        self.nodes = 0
         self.chosen: list[int] = []
         self.avail = self.everything
         self.avail_stack: list[int] = []
@@ -149,7 +151,7 @@ class _SubSolver:
                 self._undo(first)
         except _BudgetUp:
             optimal = False
-        return (self.best_value, self.best_chosen, optimal, self.nodes)
+        return (optimal, self.nodes)
 
     def _dfs(self, idx: int) -> None:
         """Node idx with the current union, then its exclude successors.
@@ -252,19 +254,11 @@ def max_rainbow_free_packing(cfg: SearchConfig) -> SearchResult:
 
     sub = _SubSolver(cfg.n, cfg.forbidden, cfg.pattern.edge_count(), copy_edges,
                      edge_ids, len(host_edges), budget_per)
-    best_value = 0
-    best_chosen: tuple[int, ...] = ()
-    optimal = True
-    nodes = 0
-    for first in firsts:
-        (value, chosen, sub_optimal, sub_nodes) = sub.run(first)
-        nodes += sub_nodes
-        optimal = optimal and sub_optimal
-        if chosen is not None and value > best_value:
-            best_value = value
-            best_chosen = chosen
-    packing = ColoredPacking(cfg.n, cfg.pattern, [copies[i] for i in best_chosen])
-    return SearchResult(best_value, packing, optimal, nodes)
+    runs = [sub.run(first) for first in firsts]
+    optimal = all(ok for (ok, _) in runs)
+    nodes = sum(sub_nodes for (_, sub_nodes) in runs)
+    packing = ColoredPacking(cfg.n, cfg.pattern, [copies[i] for i in sub.best_chosen])
+    return SearchResult(sub.best_value, packing, optimal, nodes)
 
 
 def _naive_copies(pattern: SimpleGraph, host: SimpleGraph) -> list[tuple[int, ...]]:

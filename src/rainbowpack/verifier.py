@@ -7,7 +7,8 @@ returns the first witness in lexicographic scan order or None.
 pentagon_audit recomputes, on a rainbow-triangle-free pentagon packing,
 the exact degree double counting, the quadratic-mean lower bound, and the
 per-copy degree-sum inequality with its same-colored-cherry correction
-term, raising AuditError if any of them fails.
+term, raising AuditError if any of them fails.  The cherry loop meets
+every triangle of the union, so it is also the rainbow-triangle scan.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from fractions import Fraction
 from .errors import AuditError, GuardError
 from .graphs import ColoredPacking, SimpleGraph, _norm_edge, embeddings
 
-_TRIANGLE = SimpleGraph.complete(3)
 _HOMOMORPHISM_N_LIMIT = 12
 
 
@@ -187,13 +187,11 @@ def pentagon_audit(packing: ColoredPacking) -> PentagonAudit:
 
     Raises AuditError when the pattern is not a 5-cycle, when a rainbow
     triangle exists (the inequalities assume there is none), or when any
-    recomputed identity or inequality fails.
+    recomputed identity or inequality fails.  A rainbow triangle is
+    reported before any inequality is judged.
     """
     if not packing.pattern.is_cycle(5):
         raise AuditError("pentagon_audit needs a 5-cycle pattern")
-    bad = find_rainbow(packing, _TRIANGLE)
-    if bad is not None:
-        raise AuditError(f"packing contains a rainbow triangle: {bad.vertices}")
 
     n, t = packing.n, len(packing)
     col = packing.edge_color
@@ -205,7 +203,23 @@ def pentagon_audit(packing: ColoredPacking) -> PentagonAudit:
         deg[u] += 1
         deg[v] += 1
 
-    double_sum = sum(deg[v] for copy in packing.copies for v in copy)
+    per_copy = []
+    nstar_total = 0
+    for ci in range(t):
+        local = 0
+        for (u, v) in packing.copy_edges(ci):
+            for z in adj[u] & adj[v]:
+                cu = col[_norm_edge(u, z)]
+                cv = col[_norm_edge(v, z)]
+                if cu == cv and cu != ci:
+                    local += 1
+                elif cu != cv and cu != ci and cv != ci:
+                    raise AuditError(
+                        f"packing contains a rainbow triangle: {(u, v, z)}")
+        per_copy.append((sum(deg[v] for v in packing.copies[ci]), 2 * n + 10 + local))
+        nstar_total += local
+
+    double_sum = sum(lhs for (lhs, _) in per_copy)
     sq = sum(d * d for d in deg)
     if sq % 2:
         raise AuditError("odd sum of squared degrees, packing is corrupt")
@@ -219,23 +233,9 @@ def pentagon_audit(packing: ColoredPacking) -> PentagonAudit:
         raise AuditError(
             f"quadratic mean bound failed: {double_sum} < {qm_am_bound}")
 
-    per_copy = []
-    nstar_total = 0
-    for ci in range(t):
-        lhs = sum(deg[v] for v in packing.copies[ci])
-        local = 0
-        for (u, v) in packing.copy_edges(ci):
-            for z in adj[u] & adj[v]:
-                cu = col[_norm_edge(u, z)]
-                cv = col[_norm_edge(v, z)]
-                if cu == cv and cu != ci:
-                    local += 1
-        rhs = 2 * n + 10 + local
+    for ci, (lhs, rhs) in enumerate(per_copy):
         if lhs > rhs:
             raise AuditError(f"per-copy bound failed on copy {ci}: {lhs} > {rhs}")
-        per_copy.append((lhs, rhs))
-        nstar_total += local
-
     if nstar_total > 5 * t:
         raise AuditError(f"cherry correction total {nstar_total} > 5t = {5 * t}")
     if t > 0 and qm_am_bound > (2 * n + 15) * t:

@@ -35,7 +35,7 @@ CASES = {
         "9ec0dc5e10b304fb910438f0a0331038e12808d9acdefa04b425ea1fe9e7b9b3"),
     "solve-k3-none-n7": (
         [["solve", "--n", "7", "--F", "k3", "--G", "none", "--no-symmetry"]], 0,
-        "df22226e49e82765471af2c047f2716dc38761c377c52bcba8922ccbffe0fa9b"),
+        "e029e1ac2e857241df4ed343777079ee111238c56f0efd9295a146fe74dcbda3"),
     "lp-petersen-c5": (
         [["lp", "--host", "petersen", "--pattern", "c5"]], 0,
         "8f1fd672a8f819db0c8962dda10339b2e1fae408f029a9e29b9fadce71734369"),

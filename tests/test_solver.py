@@ -17,6 +17,9 @@ K4 = SimpleGraph.complete(4)
 C4 = SimpleGraph.cycle(4)
 C5 = SimpleGraph.cycle(5)
 P3 = SimpleGraph.path(3)
+K3_PLUS_VERTEX = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
+TWO_K2 = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
+THREE_K2 = SimpleGraph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
 
 
 def test_enumerate_copies_counts():
@@ -58,8 +61,9 @@ def test_enumerate_copies_copy_cap():
         enumerate_copies(5, K3, max_copies=9)
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 8), pattern=st.sampled_from([K3, P3, C4, C5, K4]),
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8),
+       pattern=st.sampled_from([K3, P3, C4, C5, K4, K3_PLUS_VERTEX, TWO_K2, THREE_K2]),
        data=st.data())
 def test_enumerate_copies_matches_naive_enumeration(n, pattern, data):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -104,13 +108,16 @@ def test_double_pentagon_value():
 
 
 def test_solver_equals_oracle_with_identical_witness():
+    # symmetry off solves one subproblem per first copy, all against one
+    # incumbent; the witness must still be the oracle's lex-min packing
     for pattern in (K3, K4, C5):
         for n in range(pattern.n, 6):
-            res = max_rainbow_free_packing(
-                SearchConfig(n=n, pattern=pattern, forbidden=K3))
             oval, opack = oracle_max_packing(n, pattern, K3)
-            assert res.value == oval, (pattern.n, n)
-            assert res.packing.copies == opack.copies, (pattern.n, n)
+            for sym in (True, False):
+                res = max_rainbow_free_packing(SearchConfig(
+                    n=n, pattern=pattern, forbidden=K3, symmetry_breaking=sym))
+                assert res.value == oval, (pattern.n, n, sym)
+                assert res.packing.copies == opack.copies, (pattern.n, n, sym)
 
 
 def test_oracle_shares_no_enumeration_with_the_solver(monkeypatch):
@@ -189,10 +196,11 @@ def test_no_copies_fit():
     assert res.value == 0 and res.optimal and len(res.packing) == 0
 
 
-# (value, optimal, nodes, sha256 of the packing JSON), recorded with the
-# recursive include/exclude walk that visited every copy index one node at
-# a time.  The budget-cut rows stop inside a run of clashing copies, so they
-# pin the bulk node count and the position of the cut exactly.
+# (value, optimal, nodes, sha256 of the packing JSON).  Nodes count every
+# copy index the include/exclude walk passes; rows with several subproblems
+# (symmetry off or an explicit host) prune against one shared incumbent.
+# The budget-cut rows stop inside a run of clashing copies, so they pin the
+# bulk node count and the position of the cut exactly.
 _HOST8 = SimpleGraph.from_edges(
     8, [(u, v) for u in range(8) for v in range(u + 1, 8) if (5 * u + 3 * v) % 7])
 GOLDEN_SOLVES = [
@@ -203,9 +211,9 @@ GOLDEN_SOLVES = [
     (dict(n=7, pattern=K3, forbidden=K3),
      (3, True, 660, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
     (dict(n=7, pattern=K3, forbidden=K3, symmetry_breaking=False),
-     (3, True, 10126, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
+     (3, True, 10005, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
     (dict(n=7, pattern=C5, forbidden=K3, node_budget=3000, symmetry_breaking=False),
-     (2, False, 2979, "6afe7c74023be03485d493cf6bbcd0819a46e1bdf40c720f1c1ed3f9e6a64cc7")),
+     (2, False, 2974, "6afe7c74023be03485d493cf6bbcd0819a46e1bdf40c720f1c1ed3f9e6a64cc7")),
     (dict(n=8, pattern=C5, forbidden=K3),
      (3, True, 131859, "54601c268590b2f5314427ab670e13a8c24e9c378910ca42385f933bda18371d")),
     (dict(n=8, pattern=C5, forbidden=K3, node_budget=5000),
@@ -221,9 +229,9 @@ GOLDEN_SOLVES = [
     (dict(n=7, pattern=C4, forbidden=K3),
      (2, True, 1547, "f258a0f60e824ed114dbeef3a1010e90a25e4286ecdd70408bb9dafbbd0761ad")),
     (dict(n=10, pattern=C5, forbidden=K3, host=SimpleGraph.petersen()),
-     (2, True, 106, "fc9b351bceff287fb62c78d4c230f7d9a5f542afb61ad7cb651464161c2f8c2a")),
+     (2, True, 101, "fc9b351bceff287fb62c78d4c230f7d9a5f542afb61ad7cb651464161c2f8c2a")),
     (dict(n=8, pattern=K3, forbidden=K3, host=_HOST8, node_budget=4000),
-     (4, False, 2628, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
+     (4, False, 2517, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
 ]
 
 

@@ -195,6 +195,27 @@ def test_audit_rejects_rainbow_triangle():
         pentagon_audit(p)
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(5, 9), data=st.data())
+def test_audit_reports_rainbow_triangle_exactly_when_one_exists(n, data):
+    # greedy edge-disjoint packing of random 5-tuples, with no rainbow filter
+    tuples = data.draw(st.lists(
+        st.permutations(range(n)).map(lambda p: tuple(p[:5])), max_size=12))
+    used = set()
+    chosen = []
+    for emb in tuples:
+        edges = {tuple(sorted((emb[u], emb[v]))) for (u, v) in C5.edges}
+        if not edges & used:
+            used |= edges
+            chosen.append(emb)
+    p = ColoredPacking(n, C5, chosen)
+    if find_rainbow(p, K3) is None:
+        pentagon_audit(p)
+    else:
+        with pytest.raises(AuditError, match="rainbow triangle"):
+            pentagon_audit(p)
+
+
 def test_audit_recomputation_independent(seed=40108):
     # recount both sides of the double-sum identity from the raw copies
     rng = random.Random(seed)
