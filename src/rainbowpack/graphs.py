@@ -12,7 +12,11 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import PackingError
+from .errors import GuardError, PackingError
+
+# Every command builds per-vertex adjacency, about 250 bytes a vertex, so a
+# JSON graph or packing may name at most this many vertices (about 250 MB).
+_JSON_N_LIMIT = 1_000_000
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -35,6 +39,13 @@ def _json_int(x, what: str) -> int:
     if type(x) is not int:
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return x
+
+
+def _json_vertex_count(x, what: str) -> int:
+    n = _json_int(x, what)
+    if n > _JSON_N_LIMIT:
+        raise GuardError(f"{what} = {n} exceeds the vertex limit {_JSON_N_LIMIT}")
+    return n
 
 
 def _json_int_rows(rows, what: str) -> list[tuple[int, ...]]:
@@ -138,10 +149,11 @@ class SimpleGraph:
     @staticmethod
     def from_json_dict(obj: dict) -> "SimpleGraph":
         n, edges = _json_fields(obj, "graph", "n", "edges")
+        n = _json_vertex_count(n, "graph n")
         pairs = _json_int_rows(edges, "graph edges")
         if any(len(e) != 2 for e in pairs):
             raise ValueError("each of the graph edges must have two vertices")
-        return SimpleGraph.from_edges(_json_int(n, "graph n"), pairs)
+        return SimpleGraph.from_edges(n, pairs)
 
     def to_json(self) -> str:
         return canonical_json(self.to_json_dict())
@@ -174,6 +186,8 @@ class ColoredPacking:
     def __init__(self, n: int, pattern: SimpleGraph, copies) -> None:
         if pattern.edge_count() == 0:
             raise PackingError("pattern graph must have at least one edge")
+        if n < 0:
+            raise PackingError(f"vertex count must be nonnegative, got {n}")
         self.n = n
         self.pattern = pattern
         self.copies: tuple[tuple[int, ...], ...] = tuple(tuple(c) for c in copies)
@@ -213,7 +227,7 @@ class ColoredPacking:
     def from_json_dict(obj: dict) -> "ColoredPacking":
         n, pattern, copies = _json_fields(obj, "packing", "n", "pattern", "copies")
         return ColoredPacking(
-            _json_int(n, "packing n"),
+            _json_vertex_count(n, "packing n"),
             SimpleGraph.from_json_dict(pattern),
             _json_int_rows(copies, "packing copies"),
         )

@@ -4,16 +4,27 @@ A copy of G inside the union graph of a packing is rainbow when its edges
 all come from pairwise different copies of the pattern.  find_rainbow
 returns the first witness in lexicographic scan order or None.
 
+For a triangle G a PASS is decided by counting, not by checking the
+colors of each triangle.  A triangle of the union is non-rainbow exactly
+when two of its edges lie in one copy: either all three do (a triangle of
+the pattern F inside one copy), or two do and the third closes an open
+cherry i-k-j of F (ij not an edge of F) from another copy.  So the union is
+rainbow-triangle-free exactly when its triangle count, taken by degree
+ordering (Chiba and Nishizeki 1985), equals t_F * copies plus the number
+of closed cherries.  Only when the counts differ does the lexicographic
+scan run, to name the witness.
+
 pentagon_audit recomputes, on a rainbow-triangle-free pentagon packing,
 the exact degree double counting, the quadratic-mean lower bound, and the
 per-copy degree-sum inequality with its same-colored-cherry correction
-term, raising AuditError if any of them fails.  The cherry loop meets
-every triangle of the union, so it is also the rainbow-triangle scan.
+term, raising AuditError if any of them fails.  It takes the correction
+terms and the rainbow-triangle decision from the same census.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,21 +91,19 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     """First rainbow copy of the forbidden graph, or None.
 
     The forbidden graph must be connected with at most 8 vertices.  For a
-    triangle the scan walks host edges in sorted order and intersects
+    triangle, None comes from the triangle census when the union has no
+    more triangles than its copies explain (see the module docstring);
+    otherwise a scan walks host edges in sorted order and intersects
     neighborhoods, so the witness is the lexicographically smallest
-    rainbow triangle; any other graph takes the first map of the embedding
+    rainbow triangle, and the scan returns None if there is none.  Any other graph takes the first map of the embedding
     kernel, which tries host vertices in ascending order.
     """
     check_forbidden(forbidden)
     col = packing.edge_color
-    adj: list[set[int]] = [set() for _ in range(packing.n)]
-    for (u, v) in col:
-        adj[u].add(v)
-        adj[v].add(u)
-
     if forbidden.is_cycle(3):
-        return _find_rainbow_triangle(adj, col)
-    verts = next(embeddings(forbidden, adj, color=col), None)
+        _, _, rainbow_free = _triangle_census(packing)
+        return None if rainbow_free else _find_rainbow_triangle(packing)
+    verts = next(embeddings(forbidden, _adjacency(packing), color=col), None)
     if verts is None:
         return None
     edges = []
@@ -104,7 +113,17 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     return RainbowWitness(verts, tuple(edges))
 
 
-def _find_rainbow_triangle(adj: list[set[int]], col: dict):
+def _adjacency(packing: ColoredPacking) -> list[set[int]]:
+    adj: list[set[int]] = [set() for _ in range(packing.n)]
+    for (u, v) in packing.edge_color:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _find_rainbow_triangle(packing: ColoredPacking):
+    col = packing.edge_color
+    adj = _adjacency(packing)
     for (u, v) in sorted(col):
         c_uv = col[(u, v)]
         for z in sorted(adj[u] & adj[v]):
@@ -117,6 +136,65 @@ def _find_rainbow_triangle(adj: list[set[int]], col: dict):
                      ((0, 2), _norm_edge(u, z), c_uz),
                      ((1, 2), _norm_edge(v, z), c_vz)))
     return None
+
+
+def _count_triangles(n: int, edges) -> tuple[list[int], int]:
+    """Degrees and triangle count of the graph on 0..n-1 with these edges.
+
+    Each edge points toward its endpoint of larger (degree, id), so a
+    triangle is met once, at the out-edge between its two lower endpoints,
+    and no vertex has more than sqrt(2m) out-neighbors.
+    """
+    deg = [0] * n
+    for (u, v) in edges:
+        deg[u] += 1
+        deg[v] += 1
+    out: list[set[int]] = [set() for _ in range(n)]
+    for (u, v) in edges:
+        if deg[u] < deg[v] or (deg[u] == deg[v] and u < v):
+            out[u].add(v)
+        else:
+            out[v].add(u)
+    return deg, sum(len(out[u] & out[v]) for u in range(n) for v in out[u])
+
+
+def _triangle_census(packing: ColoredPacking) -> tuple[list[int], list[int], bool]:
+    """Degrees, closed cherries by color, and whether the count proves that
+    no triangle is rainbow.
+
+    closing[c] counts the pairs (copy, open cherry i-k-j of the pattern)
+    whose closing host edge exists and has color c.  The union is
+    rainbow-triangle-free exactly when its triangles number t_F * copies
+    plus all closed cherries; when it has no more than t_F * copies, no
+    cherry can be closed and none is looked up.  Cherries are looked up
+    only when the pattern has no more open cherries than edges, as
+    cliques, cycles and paths have; for a pattern such as a large star
+    the lookups would cost more than find_rainbow's scan, so the census
+    leaves the decision to the scan and reports False.
+    """
+    col = packing.edge_color
+    pattern = packing.pattern
+    deg, triangles = _count_triangles(packing.n, col)
+    closing = [0] * len(packing)
+    if not triangles:
+        # nothing to explain; an empty packing's pattern, which may be
+        # larger than the ground set, is not walked
+        return deg, closing, True
+    p_deg, p_triangles = _count_triangles(pattern.n, pattern.edges)
+    excess = triangles - p_triangles * len(packing)
+    open_cherries = sum(d * (d - 1) // 2 for d in p_deg) - 3 * p_triangles
+    if excess and open_cherries <= pattern.edge_count():
+        p_adj = pattern.adjacency()
+        ends = Counter((i, j) for k in range(pattern.n)
+                       for i in p_adj[k] for j in p_adj[k] if i < j and j not in p_adj[i])
+        for copy in packing.copies:
+            for (i, j), mult in ends.items():
+                a, b = copy[i], copy[j]
+                c = col.get((a, b) if a < b else (b, a))
+                if c is not None:
+                    closing[c] += mult
+                    excess -= mult
+    return deg, closing, excess == 0
 
 
 def exists_homomorphism(g: SimpleGraph, f: SimpleGraph) -> bool:
@@ -188,36 +266,25 @@ def pentagon_audit(packing: ColoredPacking) -> PentagonAudit:
     Raises AuditError when the pattern is not a 5-cycle, when a rainbow
     triangle exists (the inequalities assume there is none), or when any
     recomputed identity or inequality fails.  A rainbow triangle is
-    reported before any inequality is judged.
+    reported before any inequality is judged; the message names the
+    lexicographically smallest one, as find_rainbow would.
+
+    The correction term of copy ci counts the triangles formed by an edge
+    of ci and a same-colored cherry of another copy, that is the closed
+    cherries whose closing edge has color ci; they come from the triangle
+    census, which also decides that no triangle is rainbow.
     """
     if not packing.pattern.is_cycle(5):
         raise AuditError("pentagon_audit needs a 5-cycle pattern")
 
     n, t = packing.n, len(packing)
-    col = packing.edge_color
-    adj: list[set[int]] = [set() for _ in range(n)]
-    deg = [0] * n
-    for (u, v) in col:
-        adj[u].add(v)
-        adj[v].add(u)
-        deg[u] += 1
-        deg[v] += 1
-
-    per_copy = []
-    nstar_total = 0
-    for ci in range(t):
-        local = 0
-        for (u, v) in packing.copy_edges(ci):
-            for z in adj[u] & adj[v]:
-                cu = col[_norm_edge(u, z)]
-                cv = col[_norm_edge(v, z)]
-                if cu == cv and cu != ci:
-                    local += 1
-                elif cu != cv and cu != ci and cv != ci:
-                    raise AuditError(
-                        f"packing contains a rainbow triangle: {(u, v, z)}")
-        per_copy.append((sum(deg[v] for v in packing.copies[ci]), 2 * n + 10 + local))
-        nstar_total += local
+    deg, local, rainbow_free = _triangle_census(packing)
+    if not rainbow_free:
+        raise AuditError("packing contains a rainbow triangle: "
+                         f"{_find_rainbow_triangle(packing).vertices}")
+    per_copy = [(sum(deg[v] for v in copy), 2 * n + 10 + local[ci])
+                for ci, copy in enumerate(packing.copies)]
+    nstar_total = sum(local)
 
     double_sum = sum(lhs for (lhs, _) in per_copy)
     sq = sum(d * d for d in deg)

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -229,6 +230,7 @@ def test_error_paths_exit_1(capsys, monkeypatch, tmp_path):
         {"n": 3, "pattern": k3, "copies": [["a", 1, 2]]},
         {"n": 3, "pattern": k3, "copies": [[2.5, 1, 2]]},
         {"n": 3, "pattern": {"n": 3}, "copies": [[0, 1, 2]]},
+        {"n": -5, "pattern": k3, "copies": []},            # PASS on -5 vertices
     ]):
         path = tmp_path / f"packing{i}.json"
         path.write_text(json.dumps(doc))
@@ -251,6 +253,24 @@ def test_error_paths_exit_1(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "stdin", io.StringIO("5\n"))   # echo 5 | verify
     code, out, err = run(capsys, ["verify"])
     assert (code, out) == (1, "") and err.startswith("error:")
+
+
+def test_huge_vertex_counts_in_json_are_rejected_fast(capsys, tmp_path):
+    # a three-edge file naming 10^8 vertices would ask for about 25 GB of
+    # adjacency sets; the JSON decoders refuse it before anything is built
+    k3 = {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
+    graph = tmp_path / "huge-graph.json"
+    graph.write_text(json.dumps(dict(k3, n=10**8)))
+    packing = tmp_path / "huge-packing.json"
+    packing.write_text(json.dumps({"n": 10**8, "pattern": k3, "copies": [[0, 1, 2]]}))
+    for argv in (["verify", "--in", str(packing)],
+                 ["lp", "--host", f"json:{graph}", "--pattern", "k3"],
+                 ["solve", "--n", "5", "--G", f"json:{graph}"]):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and "vertex limit" in err, argv
 
 
 @pytest.mark.parametrize("flag", ["--threads", "--seed"])

@@ -9,12 +9,15 @@ order shows here even when every answer stays correct.
 import hashlib
 import io
 import sys
+from pathlib import Path
 
 import pytest
 
 from rainbowpack.cli import main
 
 KT60 = ["construct", "--family", "kt", "--n", "60", "--t", "3"]
+# greedy edge-disjoint triangles of K30; it holds rainbow triangles
+GREEDY30 = str(Path(__file__).parent / "data" / "greedy-k3-n30.json")
 
 # name: (stages piped left to right, exit code, sha256 of the last stdout)
 CASES = {
@@ -24,6 +27,15 @@ CASES = {
     "kt60-verify-c4": (
         [KT60, ["verify", "--G", "c4"]], 2,
         "fd64c38d8a720cf33995987b2271c324e82bef326b97a37067db3e8445248b5c"),
+    "kt400-t5-verify-k3": (
+        [["construct", "--family", "kt", "--n", "400", "--t", "5"], ["verify"]], 0,
+        "19b672853cf67e9af453239f826ef5ca074276d449c2a364b94df862e63aa2cd"),
+    "c5blowup61-verify-audit": (
+        [["construct", "--family", "c5blowup", "--m", "61"], ["verify"]], 0,
+        "3c9a561f95d0550a99a4d0656149945b4d06434fdb908a0e291f2563714d3023"),
+    "greedy30-verify-fail": (
+        [["verify", "--in", GREEDY30]], 2,
+        "7f7cb7de908d3d2de603b25a29630882daa20b6a6a53c285853553288806a501"),
     "c5blowup3-verify": (
         [["construct", "--family", "c5blowup", "--m", "3"], ["verify"]], 0,
         "3d0b5c7043708c8182655639fcbbf3fc6d7adae592eed2fe4c22617d1439db0d"),

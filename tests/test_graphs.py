@@ -8,10 +8,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rainbowpack import (BlowupSpec, ColoredPacking, PackingError, SimpleGraph,
-                         blow_up, canonical_json, union_graph)
+from rainbowpack import (BlowupSpec, ColoredPacking, GuardError, PackingError,
+                         SimpleGraph, blow_up, canonical_json, union_graph)
 from rainbowpack.constructions import c5_blowup_packing, k5_double_pentagon
-from rainbowpack.graphs import embeddings
+from rainbowpack.graphs import _JSON_N_LIMIT, embeddings
 
 
 def test_edge_normalization_and_value_equality():
@@ -206,6 +206,25 @@ def test_packing_json_round_trip():
     p = c5_blowup_packing(3)
     q = ColoredPacking.from_json_dict(json.loads(p.to_json()))
     assert q.copies == p.copies and q.n == p.n and q.pattern == p.pattern
+
+
+def test_json_vertex_count_guard():
+    k3 = {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
+    for n in (_JSON_N_LIMIT, _JSON_N_LIMIT + 1):
+        graph = dict(k3, n=n)
+        packing = {"n": n, "pattern": k3, "copies": [[0, 1, 2]]}
+        if n > _JSON_N_LIMIT:
+            with pytest.raises(GuardError, match="vertex limit"):
+                SimpleGraph.from_json_dict(graph)
+            with pytest.raises(GuardError, match="vertex limit"):
+                ColoredPacking.from_json_dict(packing)
+        else:
+            assert SimpleGraph.from_json_dict(graph).n == n
+            assert ColoredPacking.from_json_dict(packing).n == n
+    # the pattern inside a packing is a JSON graph too
+    with pytest.raises(GuardError, match="vertex limit"):
+        ColoredPacking.from_json_dict(
+            {"n": 3, "pattern": dict(k3, n=_JSON_N_LIMIT + 1), "copies": []})
 
 
 def test_blow_up_identity_when_all_sizes_one():

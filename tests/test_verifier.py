@@ -2,16 +2,18 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rainbowpack import (AuditError, ColoredPacking, GuardError, OrderClass,
-                         SimpleGraph, behrend_q_free, c5_blowup_packing,
+                         PackingError, SimpleGraph, behrend_q_free, c5_blowup_packing,
                          classify_order, exists_homomorphism, find_rainbow,
                          k5_double_pentagon, kt_packing, pentagon_audit)
 from rainbowpack.solver import enumerate_copies
+from rainbowpack.verifier import _triangle_census
 
 K3 = SimpleGraph.complete(3)
 C5 = SimpleGraph.cycle(5)
@@ -31,6 +33,46 @@ def naive_rainbow_exists(packing: ColoredPacking, forbidden: SimpleGraph) -> boo
         else:
             return True
     return False
+
+
+def naive_rainbow_triangle(packing: ColoredPacking):
+    """The lexicographically smallest rainbow triangle (u, v, z) with u < v,
+    and its three edge colors, or None; every triple is tried in order."""
+    col = packing.edge_color
+    n = packing.n
+    for u in range(n):
+        for v in range(u + 1, n):
+            for z in range(n):
+                cs = (col.get((u, v)), col.get((min(u, z), max(u, z))),
+                      col.get((min(v, z), max(v, z))))
+                if z not in (u, v) and None not in cs and len(set(cs)) == 3:
+                    return (u, v, z), cs
+    return None
+
+
+def naive_closing_colors(packing: ColoredPacking) -> list[int]:
+    """Per color c, the triangles with two edges of one other color and the
+    third of color c; every vertex triple is tried."""
+    col = packing.edge_color
+    closing = [0] * len(packing)
+    for (a, b, c) in itertools.combinations(range(packing.n), 3):
+        cs = [col.get((a, b)), col.get((a, c)), col.get((b, c))]
+        if None not in cs and len(set(cs)) == 2:
+            closing[min(cs, key=cs.count)] += 1
+    return closing
+
+
+def _greedy_packing(n: int, pattern: SimpleGraph, maps) -> ColoredPacking:
+    """Keep each vertex map (a tuple of distinct vertices) whose pattern
+    edges miss every edge kept so far; no rainbow filter."""
+    used = set()
+    chosen = []
+    for emb in maps:
+        edges = {tuple(sorted((emb[u], emb[v]))) for (u, v) in pattern.edges}
+        if not edges & used:
+            used |= edges
+            chosen.append(emb)
+    return ColoredPacking(n, pattern, chosen)
 
 
 def test_no_rainbow_in_two_color_packing():
@@ -105,6 +147,52 @@ def test_find_rainbow_matches_naive_oracle(seed=83190):
             (trial, p.copies)
         if w is not None:
             w.check(p, forbidden)
+
+
+TRIANGLE_ORACLE_PATTERNS = [
+    K3, SimpleGraph.path(3), SimpleGraph.cycle(4), C5, SimpleGraph.complete(4),
+    SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)]),  # K3 + pendant
+    SimpleGraph.from_edges(4, [(0, 1), (2, 3)]),                  # 2K2
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern=st.sampled_from(TRIANGLE_ORACLE_PATTERNS), n=st.integers(5, 10),
+       data=st.data())
+def test_find_rainbow_triangle_matches_lex_min_oracle(pattern, n, data):
+    maps = data.draw(st.lists(
+        st.permutations(range(n)).map(lambda p: tuple(p[:pattern.n])), max_size=20))
+    p = _greedy_packing(n, pattern, maps)
+    w = find_rainbow(p, K3)
+    want = naive_rainbow_triangle(p)
+    # the census alone decides a PASS, so it must be exact
+    _, closing, rainbow_free = _triangle_census(p)
+    assert rainbow_free == (want is None)
+    assert closing == naive_closing_colors(p)
+    if want is None:
+        assert w is None
+    else:
+        (u, v, z), (c_uv, c_uz, c_vz) = want
+        assert w is not None and w.vertices == (u, v, z)
+        assert w.edges == (((0, 1), (u, v), c_uv),
+                           ((0, 2), (min(u, z), max(u, z)), c_uz),
+                           ((1, 2), (min(v, z), max(v, z)), c_vz))
+        w.check(p, K3)
+
+
+def test_star_pattern_leaves_the_decision_to_the_scan():
+    # K_{1,4} has six open cherries but four edges, so the census looks
+    # none up and the lexicographic scan decides
+    star = SimpleGraph.from_edges(5, [(0, i) for i in range(1, 5)])
+    # edges 01 and 02 of copy 0 and 12 of copy 1: a closed cherry
+    closed = ColoredPacking(9, star, [(0, 1, 2, 3, 4), (1, 2, 5, 6, 7)])
+    _, closing, rainbow_free = _triangle_census(closed)
+    assert closing == [0, 0] and not rainbow_free
+    assert find_rainbow(closed, K3) is None and naive_rainbow_triangle(closed) is None
+    # edges 01, 12 and 02 from three copies: rainbow
+    rainbow = ColoredPacking(
+        12, star, [(0, 1, 3, 4, 5), (1, 2, 6, 7, 8), (2, 0, 9, 10, 11)])
+    assert find_rainbow(rainbow, K3).vertices == naive_rainbow_triangle(rainbow)[0]
 
 
 def test_homomorphism_basics():
@@ -201,24 +289,31 @@ def test_audit_reports_rainbow_triangle_exactly_when_one_exists(n, data):
     # greedy edge-disjoint packing of random 5-tuples, with no rainbow filter
     tuples = data.draw(st.lists(
         st.permutations(range(n)).map(lambda p: tuple(p[:5])), max_size=12))
-    used = set()
-    chosen = []
-    for emb in tuples:
-        edges = {tuple(sorted((emb[u], emb[v]))) for (u, v) in C5.edges}
-        if not edges & used:
-            used |= edges
-            chosen.append(emb)
-    p = ColoredPacking(n, C5, chosen)
-    if find_rainbow(p, K3) is None:
+    p = _greedy_packing(n, C5, tuples)
+    want = naive_rainbow_triangle(p)
+    if want is None:
         pentagon_audit(p)
     else:
-        with pytest.raises(AuditError, match="rainbow triangle"):
+        # the message names the lexicographically smallest rainbow triangle
+        with pytest.raises(AuditError, match=re.escape(f"rainbow triangle: {want[0]}")):
             pentagon_audit(p)
+
+
+def _naive_audit_counts(p: ColoredPacking) -> tuple[list[tuple[int, int]], int]:
+    """per_copy and nstar_total recounted from the raw copies and all vertex
+    triples."""
+    deg = [0] * p.n
+    for (u, v) in p.edge_color:
+        deg[u] += 1
+        deg[v] += 1
+    local = naive_closing_colors(p)
+    per_copy = [(sum(deg[v] for v in copy), 2 * p.n + 10 + local[ci])
+                for ci, copy in enumerate(p.copies)]
+    return per_copy, sum(local)
 
 
 def test_audit_recomputation_independent(seed=40108):
     # recount both sides of the double-sum identity from the raw copies
-    rng = random.Random(seed)
     for m in (3, 5):
         p = c5_blowup_packing(m)
         a = pentagon_audit(p)
@@ -230,7 +325,28 @@ def test_audit_recomputation_independent(seed=40108):
         rhs2 = sum(d * d for d in deg.values())
         assert a.double_sum == lhs
         assert 2 * a.half_sum_squares == rhs2
-    _ = rng  # reserved for future randomized variants
+    # recount per_copy and nstar_total on random rainbow-free packings,
+    # filtered by the naive oracle
+    rng = random.Random(seed)
+    corrected = 0
+    for _ in range(30):
+        n = rng.randint(5, 9)
+        maps = [tuple(rng.sample(range(n), 5)) for _ in range(40)]
+        chosen = []
+        for emb in maps:
+            try:
+                trial = ColoredPacking(n, C5, chosen + [emb])
+            except PackingError:
+                continue
+            if naive_rainbow_triangle(trial) is None:
+                chosen.append(emb)
+        p = ColoredPacking(n, C5, chosen)
+        a = pentagon_audit(p)
+        per_copy, nstar_total = _naive_audit_counts(p)
+        assert list(a.per_copy) == per_copy
+        assert a.nstar_total == nstar_total
+        corrected += nstar_total > 0
+    assert corrected > 0  # the correction term is exercised, not always 0
 
 
 def test_audit_random_greedy_pentagon_packings(seed=5257):
