@@ -5,26 +5,26 @@ all come from pairwise different copies of the pattern.  find_rainbow
 returns the first witness in lexicographic scan order or None.
 
 For a triangle G a PASS is decided by counting, not by checking the
-colors of each triangle.  A triangle of the union is non-rainbow exactly
-when two of its edges lie in one copy: either all three do (a triangle of
-the pattern F inside one copy), or two do and the third closes an open
-cherry i-k-j of F (ij not an edge of F) from another copy.  So the union is
-rainbow-triangle-free exactly when its triangle count, taken by degree
-ordering (Chiba and Nishizeki 1985), equals t_F * copies plus the number
-of closed cherries.  Only when the counts differ does the lexicographic
-scan run, to name the witness.
+colors of each triangle.  Copies are edge-disjoint, so the t_F triangles of
+the pattern F inside each copy are distinct monochromatic triangles of the
+union.  The union's triangles are counted once each by degree ordering
+(Chiba and Nishizeki 1985); when there are no more than t_F per copy, none
+is rainbow.  Otherwise the lexicographic scan runs and either names the
+smallest rainbow triangle or finds none.
 
 pentagon_audit recomputes, on a rainbow-triangle-free pentagon packing,
 the exact degree double counting, the quadratic-mean lower bound, and the
 per-copy degree-sum inequality with its same-colored-cherry correction
-term, raising AuditError if any of them fails.  It takes the correction
-terms and the rainbow-triangle decision from the same census.
+term, raising AuditError if any of them fails.  A 5-cycle has no
+triangle, so every non-rainbow triangle of a pentagon packing is a cherry
+of one copy closed by an edge of another; the audit counts those closed
+cherries and decides that no triangle is rainbow when they number all the
+union's triangles.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,18 +91,23 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     """First rainbow copy of the forbidden graph, or None.
 
     The forbidden graph must be connected with at most 8 vertices.  For a
-    triangle, None comes from the triangle census when the union has no
-    more triangles than its copies explain (see the module docstring);
+    triangle, None comes without a scan when the union has no triangles
+    besides the t_F triangles of each copy (see the module docstring);
     otherwise a scan walks host edges in sorted order and intersects
     neighborhoods, so the witness is the lexicographically smallest
-    rainbow triangle, and the scan returns None if there is none.  Any other graph takes the first map of the embedding
-    kernel, which tries host vertices in ascending order.
+    rainbow triangle, and the scan returns None if there is none.  Any
+    other graph takes the first map of the embedding kernel, which tries
+    host vertices in ascending order.
     """
     check_forbidden(forbidden)
     col = packing.edge_color
     if forbidden.is_cycle(3):
-        _, _, rainbow_free = _triangle_census(packing)
-        return None if rainbow_free else _find_rainbow_triangle(packing)
+        _, triangles = _count_triangles(packing.n, col)
+        pattern = packing.pattern
+        if not triangles or triangles == (
+                _count_triangles(pattern.n, pattern.edges)[1] * len(packing)):
+            return None
+        return _find_rainbow_triangle(packing)
     verts = next(embeddings(forbidden, _adjacency(packing), color=col), None)
     if verts is None:
         return None
@@ -156,45 +161,6 @@ def _count_triangles(n: int, edges) -> tuple[list[int], int]:
         else:
             out[v].add(u)
     return deg, sum(len(out[u] & out[v]) for u in range(n) for v in out[u])
-
-
-def _triangle_census(packing: ColoredPacking) -> tuple[list[int], list[int], bool]:
-    """Degrees, closed cherries by color, and whether the count proves that
-    no triangle is rainbow.
-
-    closing[c] counts the pairs (copy, open cherry i-k-j of the pattern)
-    whose closing host edge exists and has color c.  The union is
-    rainbow-triangle-free exactly when its triangles number t_F * copies
-    plus all closed cherries; when it has no more than t_F * copies, no
-    cherry can be closed and none is looked up.  Cherries are looked up
-    only when the pattern has no more open cherries than edges, as
-    cliques, cycles and paths have; for a pattern such as a large star
-    the lookups would cost more than find_rainbow's scan, so the census
-    leaves the decision to the scan and reports False.
-    """
-    col = packing.edge_color
-    pattern = packing.pattern
-    deg, triangles = _count_triangles(packing.n, col)
-    closing = [0] * len(packing)
-    if not triangles:
-        # nothing to explain; an empty packing's pattern, which may be
-        # larger than the ground set, is not walked
-        return deg, closing, True
-    p_deg, p_triangles = _count_triangles(pattern.n, pattern.edges)
-    excess = triangles - p_triangles * len(packing)
-    open_cherries = sum(d * (d - 1) // 2 for d in p_deg) - 3 * p_triangles
-    if excess and open_cherries <= pattern.edge_count():
-        p_adj = pattern.adjacency()
-        ends = Counter((i, j) for k in range(pattern.n)
-                       for i in p_adj[k] for j in p_adj[k] if i < j and j not in p_adj[i])
-        for copy in packing.copies:
-            for (i, j), mult in ends.items():
-                a, b = copy[i], copy[j]
-                c = col.get((a, b) if a < b else (b, a))
-                if c is not None:
-                    closing[c] += mult
-                    excess -= mult
-    return deg, closing, excess == 0
 
 
 def exists_homomorphism(g: SimpleGraph, f: SimpleGraph) -> bool:
@@ -270,21 +236,34 @@ def pentagon_audit(packing: ColoredPacking) -> PentagonAudit:
     lexicographically smallest one, as find_rainbow would.
 
     The correction term of copy ci counts the triangles formed by an edge
-    of ci and a same-colored cherry of another copy, that is the closed
-    cherries whose closing edge has color ci; they come from the triangle
-    census, which also decides that no triangle is rainbow.
+    of ci and a same-colored cherry of another copy, that is the cherries
+    whose closing edge has color ci.  Every non-rainbow triangle is one
+    such closed cherry (see the module docstring), so the union has no
+    rainbow triangle exactly when the corrections sum to its triangle
+    count.
     """
-    if not packing.pattern.is_cycle(5):
+    pattern = packing.pattern
+    if not pattern.is_cycle(5):
         raise AuditError("pentagon_audit needs a 5-cycle pattern")
 
     n, t = packing.n, len(packing)
-    deg, local, rainbow_free = _triangle_census(packing)
-    if not rainbow_free:
+    col = packing.edge_color
+    deg, triangles = _count_triangles(n, col)
+    # the two ends of the cherry centred at each pattern vertex
+    ends = [tuple(nb) for nb in pattern.adjacency()]
+    local = [0] * t
+    for copy in packing.copies:
+        for (i, j) in ends:
+            a, b = copy[i], copy[j]
+            c = col.get((a, b) if a < b else (b, a))
+            if c is not None:
+                local[c] += 1
+    nstar_total = sum(local)
+    if triangles != nstar_total:
         raise AuditError("packing contains a rainbow triangle: "
                          f"{_find_rainbow_triangle(packing).vertices}")
     per_copy = [(sum(deg[v] for v in copy), 2 * n + 10 + local[ci])
                 for ci, copy in enumerate(packing.copies)]
-    nstar_total = sum(local)
 
     double_sum = sum(lhs for (lhs, _) in per_copy)
     sq = sum(d * d for d in deg)
