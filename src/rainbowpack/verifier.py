@@ -102,9 +102,8 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     check_forbidden(forbidden)
     col = packing.edge_color
     if forbidden.is_cycle(3):
-        _, triangles = _count_triangles(packing.n, col)
         pattern = packing.pattern
-        if not triangles or triangles == (
+        if _count_triangles(packing.n, col)[1] == (
                 _count_triangles(pattern.n, pattern.edges)[1] * len(packing)):
             return None
         return _find_rainbow_triangle(packing)
