@@ -27,6 +27,13 @@ CASES = {
     "kt60-verify-c4": (
         [KT60, ["verify", "--G", "c4"]], 2,
         "fd64c38d8a720cf33995987b2271c324e82bef326b97a37067db3e8445248b5c"),
+    "kt200-verify-k4": (
+        [["construct", "--family", "kt", "--n", "200", "--t", "3"],
+         ["verify", "--G", "k4"]], 0,
+        "19b672853cf67e9af453239f826ef5ca074276d449c2a364b94df862e63aa2cd"),
+    "kt400-t5": (
+        [["construct", "--family", "kt", "--n", "400", "--t", "5"]], 0,
+        "348faa507ca30a504c712365158b16f913c5a1cc324f4515f0724e13016dab51"),
     "kt400-t5-verify-k3": (
         [["construct", "--family", "kt", "--n", "400", "--t", "5"], ["verify"]], 0,
         "19b672853cf67e9af453239f826ef5ca074276d449c2a364b94df862e63aa2cd"),
@@ -36,6 +43,9 @@ CASES = {
     "greedy30-verify-fail": (
         [["verify", "--in", GREEDY30]], 2,
         "7f7cb7de908d3d2de603b25a29630882daa20b6a6a53c285853553288806a501"),
+    "greedy30-verify-k4-fail": (
+        [["verify", "--G", "k4", "--in", GREEDY30]], 2,
+        "4bd3ff895b6d3506757c766c923d8ac37abf4cd9dec3df43e939d5183995592b"),
     "c5blowup3-verify": (
         [["construct", "--family", "c5blowup", "--m", "3"], ["verify"]], 0,
         "3d0b5c7043708c8182655639fcbbf3fc6d7adae592eed2fe4c22617d1439db0d"),
@@ -57,6 +67,12 @@ CASES = {
     "gadget-100": (
         [["gadget", "--n", "100"]], 0,
         "ba8661d910a47d5a4f8f987dec9c1e4a885dff5cd57c76c8fb9ad2d15b2f221e"),
+    "gadget-20000-q1": (
+        [["gadget", "--n", "20000", "--q", "1"]], 0,
+        "0ae7be67d78306a1e46c632d7d0f77fd5435c1730e2bc9bbc77ff240fdb6ef78"),
+    "gadget-20000-q2": (
+        [["gadget", "--n", "20000", "--q", "2"]], 0,
+        "74318c2bbac3d7f857ea70fc784b6e756a220d06cc69653c9ee20f6cd2c8c637"),
     "report-pentagon": (
         [["report", "--pentagon", "5..7"]], 0,
         "d9f2a2734f3995c7b64f300c0fdc3643b9a6c8947249c9065b67bb89a4ba2401"),
