@@ -13,9 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PackingError
+from .errors import GuardError, PackingError
 from .gadgets import QFreeSet
 from .graphs import BlowupSpec, ColoredPacking, SimpleGraph, blow_up
+
+# `construct` peaks at 200-230 bytes an edge while it builds a packing and
+# prints it, so a construction may hold at most this many edges (about 230 MB).
+_CONSTRUCTION_EDGE_LIMIT = 1_000_000
+
+
+def _check_size(copies: int, pattern_edges: int) -> None:
+    if copies * pattern_edges > _CONSTRUCTION_EDGE_LIMIT:
+        raise GuardError(
+            f"{copies} copies of {pattern_edges} edges exceed the construction "
+            f"limit of {_CONSTRUCTION_EDGE_LIMIT} edges")
 
 
 def kt_packing(n: int, t: int, a: QFreeSet) -> ColoredPacking:
@@ -25,7 +36,8 @@ def kt_packing(n: int, t: int, a: QFreeSet) -> ColoredPacking:
     offset(i) + slot - 1 with offset(i) = n*(i-1)*i/2.  The copy for
     (start, diff) takes vertex (i, start + (i-1)*diff); diff runs over A.
     A must be free of (t-2)-limited triples, otherwise two same-colored
-    edges could close a rainbow triangle.
+    edges could close a rainbow triangle.  GuardError before building when
+    the copies hold more than _CONSTRUCTION_EDGE_LIMIT edges.
     """
     if t < 3:
         raise ValueError("t must be >= 3")
@@ -35,16 +47,13 @@ def kt_packing(n: int, t: int, a: QFreeSet) -> ColoredPacking:
         raise ValueError(f"need a (t-2)={t - 2} limited-free set, got q={a.q}")
     if a.elements and a.elements[-1] > n:
         raise ValueError(f"difference set reaches {a.elements[-1]}, beyond n={n}")
+    _check_size(n * len(a), t * (t - 1) // 2)
 
-    def flatten(i: int, slot: int) -> int:
-        return n * (i - 1) * i // 2 + slot - 1
-
+    # (offset(i + 1) - 1, i): vertex i of a copy is o + start + i*diff
+    offs = [(n * i * (i + 1) // 2 - 1, i) for i in range(t)]
     total = n * t * (t + 1) // 2
-    copies = []
-    for start in range(1, n + 1):
-        for diff in a.elements:
-            copies.append(tuple(
-                flatten(i, start + (i - 1) * diff) for i in range(1, t + 1)))
+    copies = [tuple([o + start + k * diff for o, k in offs])
+              for start in range(1, n + 1) for diff in a.elements]
     return ColoredPacking(total, SimpleGraph.complete(t), copies)
 
 
@@ -54,7 +63,8 @@ def c5_blowup_packing(m: int) -> ColoredPacking:
     Vertex (class j, slot x) is j*m + x.  The copy for (a, d) visits slot
     a + j*d mod m in class j.  Every block edge is covered exactly once:
     recovering d from an edge between classes 4 and 0 divides by 4 mod m,
-    so m must be odd.
+    so m must be odd.  GuardError before building when 5m^2 edges exceed
+    _CONSTRUCTION_EDGE_LIMIT.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -62,6 +72,7 @@ def c5_blowup_packing(m: int) -> ColoredPacking:
         raise ValueError(
             f"m={m} is even: 4 is not invertible mod m and the pentagon "
             "slopes no longer cover each class-4/class-0 edge exactly once")
+    _check_size(m * m, 5)
     pentagon = SimpleGraph.cycle(5)
     copies = []
     for a in range(m):

@@ -13,7 +13,6 @@ endpoints coincide.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -116,7 +115,13 @@ class QFreeSet:
 
 
 def _digit_sphere_candidates(n: int, q: int):
-    """Yield the elements of the fullest sphere for each (dimension, base)."""
+    """Yield the elements of the fullest sphere for each (dimension, base).
+
+    Digit vectors grow one digit a level, leading digit first, as (value,
+    squared norm) pairs in ascending value; a prefix goes once it exceeds
+    n // d**k with k digits still to come, and the last digit streams
+    straight into the spheres, so no full vector list is held.
+    """
     max_dim = max(2, int(math.log2(n)) + 1) if n >= 4 else 2
     for dim in range(2, max_dim + 1):
         root = math.ceil(n ** (1.0 / dim))
@@ -126,16 +131,17 @@ def _digit_sphere_candidates(n: int, q: int):
             s = (d - 1) // (2 * q) + 1
             assert 2 * q * (s - 1) < d
             by_norm: dict[int, list[int]] = {}
-            vectors = itertools.product(range(s), repeat=dim)
-            next(vectors)  # the zero vector; the rest ascend in value, as s <= d
-            for digits in vectors:
-                val = 0
-                for t in digits:
-                    val = val * d + t
-                if val > n:
-                    break
-                r = sum(t * t for t in digits)
-                by_norm.setdefault(r, []).append(val)
+            prefixes = [(0, 0)]
+            for k in range(dim - 1, 0, -1):
+                cap = n // d ** k
+                prefixes = [(v, r + t * t) for (u, r) in prefixes
+                            for t in range(s) if (v := u * d + t) <= cap]
+            squares = [t * t for t in range(s)]
+            for (u, r) in prefixes:
+                u *= d
+                for t in range(min(s, n - u + 1)):
+                    by_norm.setdefault(r + squares[t], []).append(u + t)
+            del by_norm[0]  # the zero vector, the only one of norm 0
             if not by_norm:
                 continue
             best_r = max(sorted(by_norm), key=lambda r: len(by_norm[r]))

@@ -4,13 +4,19 @@ A copy of G inside the union graph of a packing is rainbow when its edges
 all come from pairwise different copies of the pattern.  find_rainbow
 returns the first witness in lexicographic scan order or None.
 
-For a triangle G a PASS is decided by counting, not by checking the
-colors of each triangle.  Copies are edge-disjoint, so the t_F triangles of
-the pattern F inside each copy are distinct monochromatic triangles of the
-union.  The union's triangles are counted once each by degree ordering
-(Chiba and Nishizeki 1985); when there are no more than t_F per copy, none
-is rainbow.  Otherwise the lexicographic scan runs and either names the
-smallest rainbow triangle or finds none.
+For any G that contains a triangle a PASS is decided by counting, not by
+checking colors.  A rainbow copy of G contains a rainbow triangle, since
+the edges of any subgraph of a rainbow copy have distinct colors too; so
+a packing with no rainbow triangle has no rainbow G.  This is why one
+progression-free set serves every pair of cliques K_t, K_s (the
+Alon-Shapira extension of Ruzsa-Szemeredi).  Copies are edge-disjoint, so
+the t_F triangles of the pattern F inside each copy are distinct
+monochromatic triangles of the union.  The union's triangles are counted
+once each by degree ordering (Chiba and Nishizeki 1985); when there are no
+more than t_F per copy, none is rainbow.  Otherwise the search runs as if
+there were no count: the lexicographic triangle scan for a triangle G,
+the embedding kernel for any other G, and either names a witness or finds
+none.
 
 pentagon_audit recomputes, on a rainbow-triangle-free pentagon packing,
 the exact degree double counting, the quadratic-mean lower bound, and the
@@ -90,22 +96,25 @@ def check_forbidden(forbidden: SimpleGraph) -> None:
 def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     """First rainbow copy of the forbidden graph, or None.
 
-    The forbidden graph must be connected with at most 8 vertices.  For a
-    triangle, None comes without a scan when the union has no triangles
-    besides the t_F triangles of each copy (see the module docstring);
-    otherwise a scan walks host edges in sorted order and intersects
-    neighborhoods, so the witness is the lexicographically smallest
-    rainbow triangle, and the scan returns None if there is none.  Any
-    other graph takes the first map of the embedding kernel, which tries
-    host vertices in ascending order.
+    The forbidden graph must be connected with at most 8 vertices.  When
+    it contains a triangle, None comes without a search when the union has
+    no triangles besides the t_F triangles of each copy: every rainbow copy
+    of G holds a rainbow triangle, and there is none (see the module
+    docstring).  Otherwise, for a triangle, a scan walks host edges in
+    sorted order and intersects neighborhoods, so the witness is the
+    lexicographically smallest rainbow triangle, and the scan returns None
+    if there is none.  Any other graph takes the first map of the
+    embedding kernel, which tries host vertices in ascending order; the
+    count never changes which witness is named.
     """
     check_forbidden(forbidden)
     col = packing.edge_color
-    if forbidden.is_cycle(3):
+    if _count_triangles(forbidden.n, forbidden.edges)[1] > 0:
         pattern = packing.pattern
         if _count_triangles(packing.n, col)[1] == (
                 _count_triangles(pattern.n, pattern.edges)[1] * len(packing)):
             return None
+    if forbidden.is_cycle(3):
         return _find_rainbow_triangle(packing)
     verts = next(embeddings(forbidden, _adjacency(packing), color=col), None)
     if verts is None:

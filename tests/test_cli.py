@@ -273,6 +273,18 @@ def test_huge_vertex_counts_in_json_are_rejected_fast(capsys, tmp_path):
         assert err.startswith("error:") and "vertex limit" in err, argv
 
 
+def test_oversized_constructions_are_rejected_fast(capsys):
+    # 46.2M triangles and about 10^10 pentagons: each would ask for tens of
+    # GB; the size is known from n, |A| and m before any copy is built
+    for argv in (["construct", "--family", "kt", "--n", "100000", "--t", "3"],
+                 ["construct", "--family", "c5blowup", "--m", "100001"]):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and "construction limit" in err, argv
+
+
 @pytest.mark.parametrize("flag", ["--threads", "--seed"])
 def test_removed_flags_are_rejected(capsys, flag):
     with pytest.raises(SystemExit) as exc:

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from rainbowpack import (BlowupSpec, ColoredPacking, PackingError, QFreeSet,
-                         SimpleGraph, UnbalancedBlowupShape, WeightTriple,
+from rainbowpack import (BlowupSpec, ColoredPacking, GuardError, PackingError,
+                         QFreeSet, SimpleGraph, UnbalancedBlowupShape, WeightTriple,
                          behrend_q_free, blow_up, c5_blowup_packing,
                          find_rainbow, k5_double_pentagon, kt_packing,
                          perfect_decomposition_check, solve_abg,
                          unbalanced_blowup, unbalanced_edge_count, union_graph)
+from rainbowpack import constructions
 
 K3 = SimpleGraph.complete(3)
 
@@ -182,3 +183,16 @@ def test_unbalanced_density_tracks_prediction():
     shape = solve_abg(WeightTriple(3, 0, 1, 1), n=1000)
     g = unbalanced_blowup(shape)
     assert abs(g.edge_count() / 1000**2 - 0.2016) < 2e-3
+
+
+def test_construction_size_guard_is_exact(monkeypatch):
+    a = behrend_q_free(20, 1)
+    monkeypatch.setattr(constructions, "_CONSTRUCTION_EDGE_LIMIT", 3 * 20 * len(a))
+    assert len(kt_packing(20, 3, a)) == 20 * len(a)
+    assert len(c5_blowup_packing(9)) == 81  # 405 edges
+    with pytest.raises(GuardError, match="construction limit"):
+        kt_packing(21, 3, a)
+    with pytest.raises(GuardError, match="construction limit"):
+        kt_packing(20, 4, behrend_q_free(20, 2))
+    with pytest.raises(GuardError, match="construction limit"):
+        c5_blowup_packing(11)  # 605 edges

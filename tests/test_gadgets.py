@@ -1,6 +1,8 @@
 """Ratio-limited triples and progression-free set construction."""
 
 import itertools
+import math
+import operator
 import random
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from rainbowpack import (GuardError, QFreeSet, behrend_q_free,
                          is_q_limited_triple, max_q_free_bruteforce,
                          verify_q_free)
+from rainbowpack.gadgets import _digit_sphere_candidates
 
 CLASSIC_AP_FREE = (1, 2, 4, 5, 10, 11, 13, 14)
 
@@ -152,6 +155,45 @@ def test_behrend_always_certified(seed=9001):
         assert s.q == q and s.n == n
         assert all(1 <= z <= n for z in s.elements)
         assert verify_q_free(s.elements, q).ok()
+
+
+def _naive_sphere_candidates(n: int, q: int) -> list[list[int]]:
+    """The fullest sphere of each (dimension, base) on the generator's grid:
+    every digit vector itertools.product lists, no pruning, ties to the
+    smallest squared norm."""
+    out = []
+    max_dim = max(2, int(math.log2(n)) + 1) if n >= 4 else 2
+    for dim in range(2, max_dim + 1):
+        root = math.ceil(n ** (1.0 / dim))
+        for d in (root, root + 1):
+            if d < 2 * q + 1:
+                continue
+            s = (d - 1) // (2 * q) + 1
+            weights = [d ** (dim - 1 - i) for i in range(dim)]
+            spheres: dict[int, list[int]] = {}
+            for digits in itertools.product(range(s), repeat=dim):
+                val = sum(map(operator.mul, digits, weights))
+                if 1 <= val <= n:
+                    norm = sum(map(operator.mul, digits, digits))
+                    spheres.setdefault(norm, []).append(val)
+            if spheres:
+                size = max(map(len, spheres.values()))
+                best = min(r for r in spheres if len(spheres[r]) == size)
+                out.append(sorted(spheres[best]))
+    return out
+
+
+def test_digit_spheres_match_product_reference_small_n():
+    for q in (1, 2, 3):
+        for n in range(1, 401):
+            assert list(_digit_sphere_candidates(n, q)) == \
+                _naive_sphere_candidates(n, q), (n, q)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(401, 50_000), q=st.sampled_from([1, 2, 3]))
+def test_digit_spheres_match_product_reference(n, q):
+    assert list(_digit_sphere_candidates(n, q)) == _naive_sphere_candidates(n, q)
 
 
 def _all_bad_masks(n: int, q: int) -> list[int]:

@@ -6,14 +6,15 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rainbowpack import (AuditError, ColoredPacking, GuardError, OrderClass,
                          PackingError, SimpleGraph, behrend_q_free, c5_blowup_packing,
                          classify_order, exists_homomorphism, find_rainbow,
                          k5_double_pentagon, kt_packing, pentagon_audit)
+from rainbowpack.graphs import embeddings, union_graph
 from rainbowpack.solver import enumerate_copies
-from rainbowpack.verifier import _count_triangles
+from rainbowpack.verifier import RainbowWitness, _count_triangles
 
 K3 = SimpleGraph.complete(3)
 C5 = SimpleGraph.cycle(5)
@@ -179,6 +180,45 @@ def test_find_rainbow_triangle_matches_lex_min_oracle(pattern, n, data):
                            ((0, 2), (min(u, z), max(u, z)), c_uz),
                            ((1, 2), (min(v, z), max(v, z)), c_vz))
         w.check(p, K3)
+
+
+P3 = SimpleGraph.path(3)
+# four with a triangle, which the count may decide, then three without
+CENSUS_FORBIDDEN = [
+    SimpleGraph.complete(4),
+    SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3)]),          # paw
+    SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),  # diamond
+    SimpleGraph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)]),  # bull
+    SimpleGraph.cycle(4), P3, C5,
+]
+# a triangle-free P3 packing, so its count matches, holding a rainbow path
+# and the rainbow 4-cycle 0-1-2-3: a count would wrongly pass them
+RAINBOW_WITHOUT_TRIANGLES = [(0, 1, 5), (1, 2, 6), (2, 3, 7), (3, 0, 8)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pattern=st.sampled_from(TRIANGLE_ORACLE_PATTERNS),
+       forbidden=st.sampled_from(CENSUS_FORBIDDEN), n=st.integers(5, 9),
+       perms=st.lists(st.permutations(range(9)), max_size=16))
+@example(pattern=P3, forbidden=P3, n=9, perms=RAINBOW_WITHOUT_TRIANGLES)
+@example(pattern=P3, forbidden=SimpleGraph.cycle(4), n=9, perms=RAINBOW_WITHOUT_TRIANGLES)
+def test_find_rainbow_matches_kernel_and_naive_oracle(pattern, forbidden, n, perms):
+    # each map is the first pattern.n entries of a permutation below n
+    maps = [tuple(v for v in perm if v < n)[:pattern.n] for perm in perms]
+    p = _greedy_packing(n, pattern, maps)
+    w = find_rainbow(p, forbidden)
+    if not naive_rainbow_exists(p, forbidden):
+        assert w is None
+        return
+    # a witness is the kernel's first rainbow map, whether or not a count ran
+    col = p.edge_color
+    verts = next(embeddings(forbidden, union_graph(p).adjacency(), color=col))
+    want = []
+    for (gu, gv) in forbidden.sorted_edges():
+        e = tuple(sorted((verts[gu], verts[gv])))
+        want.append(((gu, gv), e, col[e]))
+    assert w == RainbowWitness(verts, tuple(want))
+    w.check(p, forbidden)
 
 
 def test_homomorphism_basics():
