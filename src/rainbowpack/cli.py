@@ -87,25 +87,24 @@ def _cmd_construct(args) -> tuple[str, str, dict]:
         if args.n is None or args.t is None:
             raise ValueError("construct --family kt needs --n and --t")
         q = args.q if args.q is not None else args.t - 2
-        packing = kt_packing(args.n, args.t, behrend_q_free(args.n, q))
-        return (packing.to_json(), "PASS", packing.to_json_dict())
-    if args.family == "c5blowup":
+        built = kt_packing(args.n, args.t, behrend_q_free(args.n, q))
+    elif args.family == "c5blowup":
         if args.m is None:
             raise ValueError("construct --family c5blowup needs --m")
-        packing = c5_blowup_packing(args.m)
-        return (packing.to_json(), "PASS", packing.to_json_dict())
-    if args.family == "k5":
-        packing = k5_double_pentagon()
-        return (packing.to_json(), "PASS", packing.to_json_dict())
-    if args.family == "unbalanced":
+        built = c5_blowup_packing(args.m)
+    elif args.family == "k5":
+        built = k5_double_pentagon()
+    elif args.family == "unbalanced":
         if None in (args.alpha, args.beta, args.gamma, args.n):
             raise ValueError(
                 "construct --family unbalanced needs --alpha --beta --gamma --n")
         shape = UnbalancedBlowupShape(
             Fraction(args.alpha), Fraction(args.beta), Fraction(args.gamma), args.n)
-        graph = unbalanced_blowup(shape)
-        return (graph.to_json(), "PASS", graph.to_json_dict())
-    raise ValueError(f"unknown family {args.family!r}")
+        built = unbalanced_blowup(shape)
+    else:
+        raise ValueError(f"unknown family {args.family!r}")
+    payload = built.to_json_dict()
+    return (canonical_json(payload), "PASS", payload)
 
 
 def _cmd_verify(args) -> tuple[str, str, dict]:
@@ -194,13 +193,7 @@ def _cmd_optimize(args) -> tuple[str, str, dict]:
     return (text, "PASS", {"rows": len(ks)})
 
 
-def _check_gadget_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"gadget needs n >= 1, got {n}")
-
-
 def _cmd_gadget(args) -> tuple[str, str, dict]:
-    _check_gadget_n(args.n)
     qset = behrend_q_free(args.n, args.q)
     payload = {
         "n": args.n,
@@ -241,7 +234,6 @@ def _cmd_report(args) -> tuple[str, str, dict]:
         ns = [int(x) for x in args.gadget_sizes.split(",")]
         lines = ["n,q,size,certified"]
         for n in ns:
-            _check_gadget_n(n)
             qset = behrend_q_free(n, args.q)
             lines.append(f"{n},{args.q},{len(qset)},true")
     elif args.upper_bounds:

@@ -21,6 +21,9 @@ from .errors import BudgetError, GuardError
 
 _BRUTEFORCE_N_LIMIT = 60
 _BRUTEFORCE_NODE_BUDGET = 20_000_000
+# behrend_q_free takes about 1.2 s and 38 MB at n = 10^6, and its memory
+# grows about 22 MB per further 10^6 (the dimension-2 spheres hold ~n/4)
+_BEHREND_N_LIMIT = 10 ** 6
 
 
 def is_q_limited_triple(a: int, b: int, c: int, q: int) -> bool:
@@ -154,12 +157,16 @@ def behrend_q_free(n: int, q: int) -> QFreeSet:
     Sweeps a small grid of dimensions and bases, keeps the digit vectors
     on the best squared-norm sphere, and certifies the winner with
     verify_q_free before returning.  Falls back to the exact brute-force
-    optimum at tiny n, and degenerate n yields {1}.
+    optimum at tiny n.  ValueError for n < 1, GuardError for n above
+    _BEHREND_N_LIMIT, both before any work.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if n < 2:
-        return QFreeSet.certified(q, max(n, 1), (1,))
+    if n < 1:
+        raise ValueError(f"behrend_q_free needs n >= 1, got {n}")
+    if n > _BEHREND_N_LIMIT:
+        raise GuardError(f"behrend_q_free guard: n={n} exceeds "
+                         f"limit={_BEHREND_N_LIMIT}")
     best = [1]
     for cand in _digit_sphere_candidates(n, q):
         if len(cand) > len(best):

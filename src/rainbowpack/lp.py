@@ -172,8 +172,7 @@ def lp_fractional_packing(host: SimpleGraph, pattern: SimpleGraph
         raise ValueError("pattern needs at least one edge")
     if host.edge_count() > _LP_EDGE_LIMIT:
         raise GuardError(f"lp guard: {host.edge_count()} edges exceed {_LP_EDGE_LIMIT}")
-    copies = enumerate_copies(host.n, pattern, host, limit=host.n,
-                              max_copies=_LP_COPY_LIMIT)
+    copies = enumerate_copies(host.n, pattern, host, max_copies=_LP_COPY_LIMIT)
     host_edges = host.sorted_edges()
     if not copies:
         zeros = (Fraction(0),) * len(host_edges)

@@ -57,13 +57,15 @@ class WeightTriple:
         return (_exact(self.lam), _exact(self.mu), _exact(self.delta))
 
 
+def _ratios(k: int, lam, mu, delta):
+    """(beta/alpha, gamma/alpha): exact on Fractions, floats on floats."""
+    return ((lam + (k - 1) * mu + delta) / (lam + mu + (2 * k - 3) * delta),
+            ((k - 1) * lam + mu + delta) / (lam + (k - 1) * mu + delta))
+
+
 def class_ratios(w: WeightTriple) -> tuple[Fraction, Fraction]:
     """(beta/alpha, gamma/alpha) as exact rationals."""
-    lam, mu, delta = w.exact()
-    k = w.k
-    beta_alpha = (lam + (k - 1) * mu + delta) / (lam + mu + (2 * k - 3) * delta)
-    gamma_alpha = ((k - 1) * lam + mu + delta) / (lam + (k - 1) * mu + delta)
-    return (beta_alpha, gamma_alpha)
+    return _ratios(w.k, *w.exact())
 
 
 def solve_abg(w: WeightTriple, n: int = 0) -> UnbalancedBlowupShape:
@@ -75,8 +77,7 @@ def solve_abg(w: WeightTriple, n: int = 0) -> UnbalancedBlowupShape:
 
 def _density_exact(k: int, lam, mu, delta):
     """The closed form: exact on Fractions, maximize_density's objective on floats."""
-    r1 = (lam + (k - 1) * mu + delta) / (lam + mu + (2 * k - 3) * delta)
-    r2 = ((k - 1) * lam + mu + delta) / (lam + (k - 1) * mu + delta)
+    r1, r2 = _ratios(k, lam, mu, delta)
     return ((2 * k + 1) * (lam + mu + delta)
             / ((lam + mu + (2 * k - 3) * delta) * (2 + 2 * r1 + r2) ** 2))
 

@@ -31,21 +31,24 @@ from .verifier import check_forbidden
 
 _SOLVER_N_LIMIT = 12
 _ORACLE_COPY_LIMIT = 24
+# embeddings enumerate_copies walks before it gives up: |Aut(F)| per copy,
+# so K10 in K12 is 66 copies but 240M embeddings.  The largest inputs the
+# tests and benchmark use walk under 10^5 (C5 in K12: 95,040).
+_EMBEDDING_LIMIT = 1_000_000
 
 
 def enumerate_copies(n: int, pattern: SimpleGraph,
                      host: SimpleGraph | None = None,
-                     limit: int = _SOLVER_N_LIMIT,
                      max_copies: int | None = None) -> list[tuple[int, ...]]:
     """All copies of the pattern in the host (K_n when host is None).
 
     One embedding per copy (per distinct edge set): the lexicographically
     smallest vertex tuple realizing it.  Copies are sorted by their sorted
     edge tuple, so the order is canonical.  GuardError as soon as more than
-    max_copies distinct copies turn up, before the rest are enumerated.
+    max_copies distinct copies turn up, or once the search has walked
+    _EMBEDDING_LIMIT embeddings with more to come, before the rest are
+    enumerated.
     """
-    if n > limit:
-        raise GuardError(f"enumerate_copies guard: n={n} exceeds {limit}")
     if pattern.edge_count() == 0:
         raise ValueError("pattern needs at least one edge")
     if host is None:
@@ -53,7 +56,8 @@ def enumerate_copies(n: int, pattern: SimpleGraph,
     if host.n != n:
         raise ValueError(f"host has {host.n} vertices, expected n={n}")
     found: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
-    for emb in embeddings(pattern, host.adjacency()):
+    walk = embeddings(pattern, host.adjacency())
+    for emb in itertools.islice(walk, _EMBEDDING_LIMIT):
         key = tuple(embedded_edges(pattern, emb))
         old = found.get(key)
         if old is None:
@@ -63,6 +67,9 @@ def enumerate_copies(n: int, pattern: SimpleGraph,
             found[key] = emb
         elif emb < old:
             found[key] = emb
+    if next(walk, None) is not None:
+        raise GuardError(f"enumerate_copies guard: more than {_EMBEDDING_LIMIT} "
+                         f"embeddings of the pattern")
     return [found[key] for key in sorted(found)]
 
 
@@ -250,7 +257,7 @@ def max_rainbow_free_packing(cfg: SearchConfig) -> SearchResult:
 
     symmetric_ground = cfg.host is None and cfg.symmetry_breaking
     firsts = ([0] if copies else []) if symmetric_ground else list(range(len(copies)))
-    budget_per = max(1, cfg.node_budget // max(1, len(firsts) + 1))
+    budget_per = max(1, cfg.node_budget // (len(firsts) + 1))
 
     sub = _SubSolver(cfg.n, cfg.forbidden, cfg.pattern.edge_count(), copy_edges,
                      edge_ids, len(host_edges), budget_per)

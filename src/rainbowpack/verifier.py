@@ -37,7 +37,9 @@ from fractions import Fraction
 from .errors import AuditError, GuardError
 from .graphs import ColoredPacking, SimpleGraph, _norm_edge, embeddings
 
-_HOMOMORPHISM_N_LIMIT = 12
+# with no color-symmetry break, proving that no map exists grows about 11x
+# per vertex: K10 -> K9 takes about 1.2 s, K11 -> K10 about 14 s
+_HOMOMORPHISM_N_LIMIT = 10
 
 
 @dataclass(frozen=True)

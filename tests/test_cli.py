@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from rainbowpack import ColoredPacking, GuardError, SimpleGraph, cli
+from rainbowpack import ColoredPacking, GuardError, SimpleGraph, cli, solver
 from rainbowpack.cli import main, parse_graph
 
 K3 = SimpleGraph.complete(3)
@@ -283,6 +283,26 @@ def test_oversized_constructions_are_rejected_fast(capsys):
         assert time.perf_counter() - t0 < 1.0, argv
         assert (code, out) == (1, ""), argv
         assert err.startswith("error:") and "construction limit" in err, argv
+
+
+def test_oversized_searches_are_rejected(capsys, monkeypatch):
+    # behrend_q_free refuses n above 10^6 before it starts
+    for argv in (["gadget", "--n", "100000000"],
+                 ["construct", "--family", "kt", "--n", "100000000", "--t", "3"],
+                 ["report", "--gadget-sizes", "100,100000000"]):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and "behrend_q_free guard" in err, argv
+    # few copies but 10! embeddings each: the walk is capped, not the copy
+    # count (lowered here so the test stays fast)
+    monkeypatch.setattr(solver, "_EMBEDDING_LIMIT", 10_000)
+    for argv in (["solve", "--n", "12", "--F", "k10", "--G", "k3"],
+                 ["lp", "--host", "k11", "--pattern", "k9"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and "embeddings" in err, argv
 
 
 @pytest.mark.parametrize("flag", ["--threads", "--seed"])

@@ -6,11 +6,12 @@ import operator
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rainbowpack import (GuardError, QFreeSet, behrend_q_free,
+from rainbowpack import (GuardError, QFreeSet, behrend_q_free, gadgets,
                          is_q_limited_triple, max_q_free_bruteforce,
                          verify_q_free)
 from rainbowpack.gadgets import _digit_sphere_candidates
@@ -142,8 +143,25 @@ def test_qfreeset_invariants():
 
 def test_behrend_degenerate_and_tiny():
     assert behrend_q_free(1, 1).elements == (1,)
-    assert behrend_q_free(0, 2).elements == (1,)
+    with pytest.raises(ValueError, match="n >= 1"):
+        behrend_q_free(0, 2)
     assert len(behrend_q_free(14, 1)) == 8  # exact optimum via tiny-n fallback
+
+
+def test_behrend_n_guard(monkeypatch):
+    # refused before the search starts: nothing is built or allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError, match="exceeds limit=1000000"):
+            behrend_q_free(10 ** 8, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    monkeypatch.setattr(gadgets, "_BEHREND_N_LIMIT", 100)
+    assert behrend_q_free(100, 1).n == 100
+    with pytest.raises(GuardError):
+        behrend_q_free(101, 1)
 
 
 def test_behrend_always_certified(seed=9001):

@@ -50,9 +50,19 @@ def test_enumerate_copies_respects_host():
 
 
 def test_enumerate_copies_guard():
-    with pytest.raises(GuardError):
-        enumerate_copies(13, K3)
-    assert len(enumerate_copies(13, K3, limit=13)) == 286
+    # the vertex limit belongs to the solver; enumeration only caps its walk
+    assert len(enumerate_copies(13, K3)) == 286
+    with pytest.raises(GuardError, match="solver guard"):
+        max_rainbow_free_packing(SearchConfig(n=13, pattern=K3, forbidden=K3))
+
+
+def test_enumerate_copies_embedding_cap(monkeypatch):
+    # K3 in K5: 10 copies, each walked once per automorphism, 60 embeddings
+    monkeypatch.setattr(solver, "_EMBEDDING_LIMIT", 60)
+    assert len(enumerate_copies(5, K3)) == 10
+    monkeypatch.setattr(solver, "_EMBEDDING_LIMIT", 59)
+    with pytest.raises(GuardError, match="more than 59 embeddings"):
+        enumerate_copies(5, K3)
 
 
 def test_enumerate_copies_copy_cap():

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -253,6 +254,12 @@ def test_homomorphism_matches_brute_force(g, f):
 def test_homomorphism_guard():
     with pytest.raises(GuardError):
         exists_homomorphism(SimpleGraph.empty(13), K3)
+    # K11 -> K10 would take about 14 s to refute; it is refused up front
+    t0 = time.perf_counter()
+    with pytest.raises(GuardError, match="limit=10"):
+        exists_homomorphism(SimpleGraph.complete(11), SimpleGraph.complete(10))
+    assert time.perf_counter() - t0 < 1.0
+    assert exists_homomorphism(SimpleGraph.empty(10), K3)
 
 
 def test_classify_order_table():
