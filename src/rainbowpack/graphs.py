@@ -273,36 +273,45 @@ def blow_up(spec: BlowupSpec) -> SimpleGraph:
     return SimpleGraph.from_edges(offsets[-1], edges)
 
 
+def placement(small: SimpleGraph, first=()) -> tuple[list[int], list[list[int]]]:
+    """The embedding kernel's placement plan for ``small``: its vertices in
+    placement order, and for each position the earlier-placed neighbors.
+
+    The ``first`` vertices take the leading positions in the given order.
+    The rest follow in component-wise BFS order: the queue starts with the
+    first vertices, a component with nothing placed yet is rooted at its
+    smallest vertex, and neighbors are queued in ascending order.  So every
+    position after a root has a placed neighbor, and when first is an
+    arc, its second vertex has the first as one.
+    """
+    s_adj = small.adjacency()
+    order = list(first)
+    roots = iter(range(small.n))
+    head = 0
+    while len(order) < small.n:
+        if head == len(order):  # the queue ran dry: root the next component
+            order.append(next(r for r in roots if r not in order))
+        order += [w for w in sorted(s_adj[order[head]]) if w not in order]
+        head += 1
+    anchors = [[u for u in sorted(s_adj[v]) if u in order[:i]]
+               for i, v in enumerate(order)]
+    return order, anchors
+
+
 def embeddings(small: SimpleGraph, host_adj: list[set[int]],
-               injective: bool = True, color: dict | None = None):
-    """Yield every edge-preserving map of ``small`` into a host, as a tuple
-    whose entry i is the host vertex carrying small-graph vertex i.
+               injective: bool = True, color: dict | None = None, pin=None):
+    """Every edge-preserving map of ``small`` into a host, as an iterator of
+    tuples whose entry i is the host vertex carrying small-graph vertex i.
 
     The host is given by its adjacency sets.  ``injective`` asks for copies
     rather than homomorphisms.  With ``color`` (host edge (u, v), u < v, to
     color) only maps whose edges get pairwise distinct colors are yielded.
-
-    Small-graph vertices are placed in component-wise BFS order, each
-    component rooted at its smallest vertex and neighbors queued in
-    ascending order, so every vertex after a root has a placed neighbor and
-    its candidates are the common host neighbors of all placed neighbors.
-    Candidates are tried in ascending order, so maps come out in a fixed
-    order, and the search keeps an explicit stack instead of recursing.
+    ``pin=((a, b), (u, v))`` yields only the maps with a -> u and b -> v.
+    Small-graph vertices are placed in the order of ``placement``, a pinned
+    a and b first, and candidates are tried in ascending order, so maps
+    come out in a fixed order.
     """
-    s_adj = small.adjacency()
-    order: list[int] = []
-    for root in range(small.n):
-        if root not in order:
-            head = len(order)
-            order.append(root)
-            while head < len(order):
-                order += [w for w in sorted(s_adj[order[head]]) if w not in order]
-                head += 1
-    if not order:
-        yield ()
-        return
-    anchors = [[u for u in sorted(s_adj[v]) if u in order[:i]]
-               for i, v in enumerate(order)]
+    order, anchors = placement(small, pin[0] if pin is not None else ())
     # candidate sets are bitmasks, so the lowest set bit is the next host
     # vertex in ascending order and intersections are single integer ANDs
     nbr = [sum(1 << w for w in nb) for nb in host_adj]
@@ -312,13 +321,36 @@ def embeddings(small: SimpleGraph, host_adj: list[set[int]],
     # isolated host vertices cost nothing; the mask is read from a bit
     # string, which takes linear time where summing shifts is quadratic
     start = [everything] * len(order)
+    deg = small.degrees()
     for i, v in enumerate(order):
         if not anchors[i]:
-            need = len(s_adj[v]) if injective else min(len(s_adj[v]), 1)
+            need = deg[v] if injective else min(deg[v], 1)
             start[i] = int("".join("1" if len(nb) >= need else "0"
                                    for nb in reversed(host_adj)) or "0", 2)
+    if pin is not None:
+        (u, v) = pin[1]
+        start[0] &= 1 << u
+        start[1] &= 1 << v
+    return plan_embeddings(order, anchors, nbr, start, injective, color)
+
+
+def plan_embeddings(order: list[int], anchors: list[list[int]], nbr: list[int],
+                    start: list[int], injective: bool = True,
+                    color: dict | None = None):
+    """The embedding kernel: yield every map of a placement plan (see
+    placement) into a host given by bitmask rows, ``nbr[h]`` holding the
+    neighbors of host vertex h.
+
+    Position i tries the host vertices in ``start[i]`` that are adjacent
+    to the images of all its anchors (and unused, when injective), in
+    ascending order; ``color`` is as in embeddings.  The search keeps an
+    explicit stack instead of recursing.
+    """
+    if not order:
+        yield ()
+        return
     last = len(order) - 1
-    image = [-1] * small.n
+    image = [-1] * len(order)
     used = 0
     used_colors: set[int] = set()
     # per depth: untried candidates, and with a color map the anchor images
@@ -367,3 +399,32 @@ def embeddings(small: SimpleGraph, host_adj: list[set[int]],
         rest[i] = m
         if color is not None:
             placed[i] = [image[u] for u in anchors[i]]
+
+
+def arc_orbit_representatives(g: SimpleGraph) -> list[tuple[int, int]]:
+    """One arc from each orbit of Aut(g) on g's arcs, the two orientations
+    (u, v) and (v, u) of every edge; each representative is the smallest
+    arc of its orbit, and they come in ascending order.
+
+    An arc (p, q) shares the orbit of a representative (a, b) exactly when
+    the kernel maps g into itself with a -> p and b -> q: an injective
+    edge-preserving map of a finite graph to itself is an automorphism.
+    Only the first such map is asked for, so Aut(g) is never listed (K8 has
+    40,320 automorphisms and one representative).
+    """
+    adj = g.adjacency()
+    arcs = sorted(itertools.chain(g.edges, ((v, u) for (u, v) in g.edges)))
+    reps: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for (a, b) in arcs:
+        if (a, b) in seen:
+            continue
+        reps.append((a, b))
+        for (p, q) in arcs:
+            # an automorphism keeps every degree, so only such arcs are tried
+            if ((p, q) not in seen and len(adj[p]) == len(adj[a])
+                    and len(adj[q]) == len(adj[b])
+                    and next(embeddings(g, adj, pin=((a, b), (p, q))), None)
+                    is not None):
+                seen.add((p, q))
+    return reps

@@ -25,8 +25,9 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import GuardError
-from .graphs import (ColoredPacking, SimpleGraph, _norm_edge, embedded_edges,
-                     embeddings)
+from .graphs import (ColoredPacking, SimpleGraph, _norm_edge,
+                     arc_orbit_representatives, embedded_edges, embeddings,
+                     placement, plan_embeddings)
 from .verifier import check_forbidden
 
 _SOLVER_N_LIMIT = 12
@@ -118,7 +119,10 @@ class _SubSolver:
     ``avail`` is a bitmask over copy indices: the copies that share no edge
     with the current union.  ``keep[e]`` clears the copies through host edge
     e, so an include costs e(F) ANDs and the exclude walk can jump to the
-    next set bit instead of visiting each clashing copy.
+    next set bit instead of visiting each clashing copy.  The union itself,
+    read only by the rainbow checks, is ``nbr[u]`` (a bitmask of u's union
+    neighbors) plus ``col`` (union edge to the index of its copy in the
+    packing).
     """
 
     def __init__(self, n: int, forbidden: SimpleGraph | None, e_f: int,
@@ -133,6 +137,13 @@ class _SubSolver:
         self.cap = total_edges // e_f  # copies that fit into the host's edges
         self.fast_triangle = forbidden is not None and forbidden.is_cycle(3)
         self.generic = forbidden is not None and not self.fast_triangle
+        if self.generic:
+            # one placement plan per Aut(G)-orbit of G's arcs, with the
+            # orbit's representative arc in the first two positions; the
+            # later positions start from every host vertex
+            self.plans = [placement(forbidden, arc)
+                          for arc in arc_orbit_representatives(forbidden)]
+            self.tail = [(1 << n) - 1] * (forbidden.n - 2)
         self.everything = (1 << self.n_copies) - 1
         through = [0] * total_edges
         for i, ids in enumerate(edge_ids):
@@ -148,7 +159,7 @@ class _SubSolver:
         self.chosen: list[int] = []
         self.avail = self.everything
         self.avail_stack: list[int] = []
-        self.adj: list[set[int]] = [set() for _ in range(self.n)]
+        self.nbr = [0] * self.n
         self.col: dict[tuple[int, int], int] = {}
         optimal = True
         try:
@@ -201,13 +212,17 @@ class _SubSolver:
 
     def _include(self, idx: int) -> bool:
         edges = self.copy_edges[idx]
-        adj = self.adj
+        nbr = self.nbr
         col = self.col
         if self.fast_triangle:
             # a rainbow triangle through a new edge has its other two edges
             # already placed, in two different colors
             for (u, v) in edges:
-                for z in adj[u] & adj[v]:
+                common = nbr[u] & nbr[v]
+                while common:
+                    low = common & -common
+                    common ^= low
+                    z = low.bit_length() - 1
                     if (col[(u, z) if u < z else (z, u)]
                             != col[(v, z) if v < z else (z, v)]):
                         return False
@@ -215,25 +230,47 @@ class _SubSolver:
             color = len(self.chosen)
             for (u, v) in edges:
                 col[(u, v)] = color
-                adj[u].add(v)
-                adj[v].add(u)
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
         self.avail_stack.append(self.avail)
         for e in self.edge_ids[idx]:
             self.avail &= self.keep[e]
         self.chosen.append(idx)
-        if self.generic and next(embeddings(self.forbidden, adj, color=col), None) is not None:
+        if self.generic and self._makes_rainbow(edges):
             self._undo(idx)
             return False
         return True
+
+    def _makes_rainbow(self, edges: list[tuple[int, int]]) -> bool:
+        """Whether the union, with the new copy's edges placed, holds a
+        rainbow copy of the forbidden graph G.
+
+        The union had none before this include, since every include passed
+        this check.  The new edges share one color, so a new rainbow copy
+        uses exactly one of them, and some arc of G lands on it as (u, v),
+        u < v.  An automorphism of G moves that arc to its orbit's
+        representative, so pinning each representative to each new edge
+        finds every new rainbow copy.
+        """
+        nbr = self.nbr
+        col = self.col
+        for (u, v) in edges:
+            start = [1 << u, 1 << v, *self.tail]
+            for (order, anchors) in self.plans:
+                if next(plan_embeddings(order, anchors, nbr, start, color=col),
+                        None) is not None:
+                    return True
+        return False
 
     def _undo(self, idx: int) -> None:
         self.chosen.pop()
         self.avail = self.avail_stack.pop()
         if self.forbidden is not None:
+            nbr = self.nbr
             for (u, v) in self.copy_edges[idx]:
                 del self.col[(u, v)]
-                self.adj[u].discard(v)
-                self.adj[v].discard(u)
+                nbr[u] &= ~(1 << v)
+                nbr[v] &= ~(1 << u)
 
 
 def max_rainbow_free_packing(cfg: SearchConfig) -> SearchResult:

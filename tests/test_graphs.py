@@ -6,12 +6,13 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rainbowpack import (BlowupSpec, ColoredPacking, GuardError, PackingError,
                          SimpleGraph, blow_up, canonical_json, union_graph)
 from rainbowpack.constructions import c5_blowup_packing, k5_double_pentagon
-from rainbowpack.graphs import _JSON_N_LIMIT, embeddings
+from rainbowpack.graphs import (_JSON_N_LIMIT, arc_orbit_representatives,
+                                 embeddings)
 
 
 def test_edge_normalization_and_value_equality():
@@ -139,14 +140,16 @@ def test_is_cycle():
     assert not two_triangles.is_cycle(6)
 
 
-def _bfs_order(g: SimpleGraph) -> list[int]:
+def _bfs_order(g: SimpleGraph, first=()) -> list[int]:
+    # the first vertices, then BFS from them, then BFS from each smallest
+    # vertex not yet reached
     adj = g.adjacency()
     order: list[int] = []
-    for root in range(g.n):
-        if root in order:
+    for roots in [list(first)] + [[v] for v in range(g.n)]:
+        if any(r in order for r in roots):
             continue
-        queue = [root]
-        order.append(root)
+        order += roots
+        queue = list(roots)
         while queue:
             for w in sorted(adj[queue.pop(0)]):
                 if w not in order:
@@ -163,16 +166,8 @@ def _graph(draw, max_n: int) -> SimpleGraph:
     return SimpleGraph(n, frozenset(e for e, k in zip(pairs, keep) if k))
 
 
-@settings(max_examples=150, deadline=None)
-@given(small=_graph(4), host=_graph(6), injective=st.booleans(),
-       colored=st.booleans(), data=st.data())
-def test_embedding_kernel_matches_brute_force(small, host, injective, colored, data):
-    edges = host.sorted_edges()
-    color = None
-    if colored:
-        color = dict(zip(edges, data.draw(st.lists(
-            st.integers(0, 3), min_size=len(edges), max_size=len(edges)))))
-    expected = []
+def _brute_force_maps(small, host, injective=True, color=None):
+    maps = []
     for m in itertools.product(range(host.n), repeat=small.n):
         if injective and len(set(m)) < small.n:
             continue
@@ -181,12 +176,79 @@ def test_embedding_kernel_matches_brute_force(small, host, injective, colored, d
             continue
         if color is not None and len({color[e] for e in images}) < len(images):
             continue
-        expected.append(m)
+        maps.append(m)
+    return maps
+
+
+def _random_colors(host, data):
+    edges = host.sorted_edges()
+    return dict(zip(edges, data.draw(st.lists(
+        st.integers(0, 3), min_size=len(edges), max_size=len(edges)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small=_graph(4), host=_graph(6), injective=st.booleans(),
+       colored=st.booleans(), data=st.data())
+def test_embedding_kernel_matches_brute_force(small, host, injective, colored, data):
+    color = _random_colors(host, data) if colored else None
+    expected = _brute_force_maps(small, host, injective, color)
     # ascending candidates: maps come out sorted by their images in BFS order
     order = _bfs_order(small)
     expected.sort(key=lambda m: [m[v] for v in order])
     got = list(embeddings(small, host.adjacency(), injective, color))
     assert got == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(small=_graph(5), host=_graph(6), injective=st.booleans(),
+       colored=st.booleans(), data=st.data())
+def test_pinned_embedding_kernel_matches_filtered_brute_force(
+        small, host, injective, colored, data):
+    assume(small.edges and host.n >= 2)
+    (a, b) = data.draw(st.sampled_from(small.sorted_edges()))
+    if data.draw(st.booleans()):
+        (a, b) = (b, a)
+    (u, v) = data.draw(st.sampled_from(list(itertools.permutations(range(host.n), 2))))
+    color = _random_colors(host, data) if colored else None
+    expected = [m for m in _brute_force_maps(small, host, injective, color)
+                if m[a] == u and m[b] == v]
+    # the pinned arc is placed first, then BFS runs from both its ends
+    order = _bfs_order(small, (a, b))
+    expected.sort(key=lambda m: [m[v] for v in order])
+    got = list(embeddings(small, host.adjacency(), injective, color,
+                          pin=((a, b), (u, v))))
+    assert got == expected
+
+
+def _automorphisms(g: SimpleGraph) -> list[tuple[int, ...]]:
+    return [p for p in itertools.permutations(range(g.n))
+            if all(tuple(sorted((p[u], p[v]))) in g.edges for (u, v) in g.edges)]
+
+
+def test_arc_orbit_representatives_against_permutations():
+    # every connected labeled graph on at most 5 vertices: the
+    # representatives are exactly the smallest arc of each Aut(G)-orbit
+    graphs = 0
+    for n in range(2, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for keep in itertools.product((False, True), repeat=len(pairs)):
+            g = SimpleGraph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+            if not g.edges or not g.is_connected():
+                continue
+            graphs += 1
+            autos = _automorphisms(g)
+            arcs = [(u, v) for (u, v) in g.edges] + [(v, u) for (u, v) in g.edges]
+            smallest = {min((p[x], p[y]) for p in autos) for (x, y) in arcs}
+            assert arc_orbit_representatives(g) == sorted(smallest), g
+    assert graphs == 1 + 4 + 38 + 728
+
+
+def test_arc_orbit_representatives_of_large_symmetric_graphs():
+    # K8 has 40,320 automorphisms; no list of them is built
+    assert arc_orbit_representatives(SimpleGraph.complete(8)) == [(0, 1)]
+    assert arc_orbit_representatives(SimpleGraph.cycle(8)) == [(0, 1)]
+    assert arc_orbit_representatives(SimpleGraph.path(4)) == [(0, 1), (1, 0), (1, 2)]
+    assert arc_orbit_representatives(SimpleGraph.petersen()) == [(0, 1)]
 
 
 def test_embedding_kernel_roots_skip_isolated_host_vertices():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from rainbowpack import (GuardError, SearchConfig, SimpleGraph,
                          enumerate_copies, find_rainbow,
                          max_rainbow_free_packing, oracle_max_packing, solver)
-from rainbowpack.graphs import canonical_json
+from rainbowpack.graphs import canonical_json, embeddings
 from rainbowpack.solver import _naive_copies, _naive_rainbow_scan
 
 K3 = SimpleGraph.complete(3)
@@ -17,6 +17,8 @@ K4 = SimpleGraph.complete(4)
 C4 = SimpleGraph.cycle(4)
 C5 = SimpleGraph.cycle(5)
 P3 = SimpleGraph.path(3)
+P4 = SimpleGraph.path(4)
+PAW = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 K3_PLUS_VERTEX = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
 TWO_K2 = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
 THREE_K2 = SimpleGraph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
@@ -136,6 +138,7 @@ def test_oracle_shares_no_enumeration_with_the_solver(monkeypatch):
 
     monkeypatch.setattr(solver, "enumerate_copies", fast_path)
     monkeypatch.setattr(solver, "embeddings", fast_path)
+    monkeypatch.setattr(solver, "plan_embeddings", fast_path)
     value, packing = oracle_max_packing(5, C5, K3)
     assert value == 2
     assert packing.copies == ((0, 1, 3, 4, 2), (0, 3, 2, 1, 4))
@@ -232,6 +235,10 @@ GOLDEN_SOLVES = [
      (4, False, 351, "b17b01d6bd8ec1366caf8ff5830a9b2562a4c7859f0eac351e344f87d4a568e7")),
     (dict(n=6, pattern=K3, forbidden=C5),
      (4, True, 130, "3acddfa608ecfb3d5297842d09ff5997f6ede0934d73cc05f92a02ba8f81bf90")),
+    (dict(n=7, pattern=K3, forbidden=P4),
+     (3, True, 408, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
+    (dict(n=7, pattern=K3, forbidden=PAW, node_budget=3000),
+     (4, False, 1501, "42315dc0b617f2bc8a7ff37491aae09f0eef8e3944e5c33bae8e424260541ae5")),
     (dict(n=8, pattern=K3, forbidden=None, node_budget=1000),
      (8, False, 501, "86cbc5bbb57f6a9d63e46cd3f1865ba264fe185bccb933e7ec6c903dbd3f9294")),
     (dict(n=7, pattern=K4, forbidden=K3),
@@ -295,6 +302,38 @@ def test_triangle_check_matches_the_embedding_kernel(n, pattern, data):
         generic = max_rainbow_free_packing(cfg)
     assert _fingerprint(fast) == _fingerprint(generic)
     assert not _naive_rainbow_scan(n, fast.packing.edge_color, K3)
+
+
+BULL = SimpleGraph.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
+STAR4 = SimpleGraph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+DIAMOND = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+
+
+def _whole_union_check(self, edges):
+    # the kernel over the whole union, with no pin
+    adj = [{w for w in range(self.n) if row >> w & 1} for row in self.nbr]
+    return next(embeddings(self.forbidden, adj, color=self.col), None) is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 7), pattern=st.sampled_from([K3, P3, C4, C5]),
+       forbidden=st.sampled_from([SimpleGraph.complete(2), P3, P4, PAW, BULL,
+                                  STAR4, DIAMOND, C4, C5, K4]),
+       data=st.data())
+def test_anchored_check_matches_the_whole_union_check(n, pattern, forbidden, data):
+    # the solver pins each arc-orbit representative of G to each new edge;
+    # searching the whole union instead must give the same search tree
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    host = SimpleGraph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+    cfg = SearchConfig(n=n, pattern=pattern, forbidden=forbidden, host=host,
+                       node_budget=2000)
+    anchored = max_rainbow_free_packing(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver._SubSolver, "_makes_rainbow", _whole_union_check)
+        whole = max_rainbow_free_packing(cfg)
+    assert _fingerprint(anchored) == _fingerprint(whole)
+    assert not _naive_rainbow_scan(n, anchored.packing.edge_color, forbidden)
 
 
 def test_forbidden_graph_guards():
