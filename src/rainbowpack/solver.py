@@ -6,9 +6,15 @@ order.  It recurses only on include and walks the excludes in a loop, so
 the stack depth is at most the packing size plus one.  A bitmask of the
 copies that share no edge with the packing lets the walk jump to the next
 copy that fits; every copy index it passes still counts as one node.
-A copy that would create a rainbow copy of the forbidden graph is
-rejected when it is included (a triangle is tested before the copy is
-placed), and value pruning uses the free-edge budget.
+A copy that would create a rainbow copy of the forbidden graph G is
+rejected when it is included, and value pruning uses the free-edge budget.
+The check looks only at the new copy's edges: every accepted include
+passed it, so the union had no rainbow G before; the new edges share one
+color, so a new rainbow G uses exactly one of them; and pinning one arc
+from each Aut(G)-orbit of G's arcs to each new edge (u, v), u < v, finds
+it.  A triangle is tested before the copy is placed, through the common
+neighbors of each new edge's ends; any other G runs the embedding kernel
+with the pin.
 The tree is split into subproblems keyed by the first included copy, each
 with an equal share of the node budget, solved in order against one
 incumbent that only a strictly larger packing replaces, so the result is
@@ -243,14 +249,10 @@ class _SubSolver:
 
     def _makes_rainbow(self, edges: list[tuple[int, int]]) -> bool:
         """Whether the union, with the new copy's edges placed, holds a
-        rainbow copy of the forbidden graph G.
-
-        The union had none before this include, since every include passed
-        this check.  The new edges share one color, so a new rainbow copy
-        uses exactly one of them, and some arc of G lands on it as (u, v),
-        u < v.  An automorphism of G moves that arc to its orbit's
-        representative, so pinning each representative to each new edge
-        finds every new rainbow copy.
+        rainbow copy of the forbidden graph G (see the module docstring for
+        why the pinned searches find every one).  Some arc of G lands on
+        the new edge it uses as (u, v), u < v, and an automorphism of G
+        moves that arc to its orbit's representative.
         """
         nbr = self.nbr
         col = self.col

@@ -315,7 +315,7 @@ def _whole_union_check(self, edges):
     return next(embeddings(self.forbidden, adj, color=self.col), None) is not None
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(n=st.integers(2, 7), pattern=st.sampled_from([K3, P3, C4, C5]),
        forbidden=st.sampled_from([SimpleGraph.complete(2), P3, P4, PAW, BULL,
                                   STAR4, DIAMOND, C4, C5, K4]),
