@@ -25,8 +25,7 @@ from .optimizer import (WeightTriple, c5_decomposition_coeff, class_ratios,
                         solve_abg, upper_bound_coeff)
 from .solver import (SearchConfig, SearchResult, enumerate_copies,
                      max_rainbow_free_packing, oracle_max_packing)
-from .verifier import (OrderClass, PentagonAudit, RainbowWitness,
-                       classify_order, exists_homomorphism, find_rainbow,
+from .verifier import (PentagonAudit, RainbowWitness, find_rainbow,
                        pentagon_audit)
 
 __version__ = "0.1.0"
@@ -41,7 +40,6 @@ __all__ = [
     "FractionalPackingProblem",
     "GuardError",
     "LOWER_BOUND",
-    "OrderClass",
     "PASS",
     "PackingError",
     "PentagonAudit",
@@ -58,10 +56,8 @@ __all__ = [
     "c5_decomposition_coeff",
     "canonical_json",
     "class_ratios",
-    "classify_order",
     "density",
     "enumerate_copies",
-    "exists_homomorphism",
     "find_rainbow",
     "is_q_limited_triple",
     "k5_double_pentagon",

@@ -17,6 +17,10 @@ from .errors import GuardError, PackingError
 # Every command builds per-vertex adjacency, about 250 bytes a vertex, so a
 # JSON graph or packing may name at most this many vertices (about 250 MB).
 _JSON_N_LIMIT = 1_000_000
+# The embedding kernel keeps one bitmask row per host vertex, about
+# (largest neighbor id) / 8 bytes each, so sparse hosts with high ids cost
+# memory quadratic in n; 10^5 disjoint triangles would need about 5 GiB.
+_ROW_BYTES_LIMIT = 1 << 30
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -299,52 +303,55 @@ def placement(small: SimpleGraph, first=()) -> tuple[list[int], list[list[int]]]
 
 
 def embeddings(small: SimpleGraph, host_adj: list[set[int]],
-               injective: bool = True, color: dict | None = None, pin=None):
-    """Every edge-preserving map of ``small`` into a host, as an iterator of
-    tuples whose entry i is the host vertex carrying small-graph vertex i.
+               color: dict | None = None, pin=None):
+    """Every injective edge-preserving map of ``small`` into a host, as an
+    iterator of tuples whose entry i is the host vertex carrying small-graph
+    vertex i.
 
-    The host is given by its adjacency sets.  ``injective`` asks for copies
-    rather than homomorphisms.  With ``color`` (host edge (u, v), u < v, to
-    color) only maps whose edges get pairwise distinct colors are yielded.
-    ``pin=((a, b), (u, v))`` yields only the maps with a -> u and b -> v.
-    Small-graph vertices are placed in the order of ``placement``, a pinned
-    a and b first, and candidates are tried in ascending order, so maps
-    come out in a fixed order.
+    The host is given by its adjacency sets.  With ``color`` (host edge
+    (u, v), u < v, to color) only maps whose edges get pairwise distinct
+    colors are yielded.  ``pin=((a, b), (u, v))`` yields only the maps with
+    a -> u and b -> v.  Small-graph vertices are placed in the order of
+    ``placement``, a pinned a and b first, and candidates are tried in
+    ascending order, so maps come out in a fixed order.  GuardError when
+    the host's bitmask rows would need more than _ROW_BYTES_LIMIT bytes.
     """
+    rows = sum(max(nb) for nb in host_adj if nb) // 8
+    if rows > _ROW_BYTES_LIMIT:
+        raise GuardError(f"embeddings guard: host bitmask rows need about "
+                         f"{rows >> 20} MiB, over {_ROW_BYTES_LIMIT >> 20} MiB")
     order, anchors = placement(small, pin[0] if pin is not None else ())
     # candidate sets are bitmasks, so the lowest set bit is the next host
     # vertex in ascending order and intersections are single integer ANDs
     nbr = [sum(1 << w for w in nb) for nb in host_adj]
     everything = (1 << len(host_adj)) - 1
-    # a position with no placed neighbor tries only host vertices of enough
-    # degree: a copy keeps the degree, a homomorphism needs one neighbor, so
-    # isolated host vertices cost nothing; the mask is read from a bit
-    # string, which takes linear time where summing shifts is quadratic
+    # a position with no placed neighbor tries only host vertices of at
+    # least its degree, so isolated host vertices cost nothing; the mask is
+    # read from a bit string, which takes linear time where summing shifts
+    # is quadratic
     start = [everything] * len(order)
     deg = small.degrees()
     for i, v in enumerate(order):
         if not anchors[i]:
-            need = deg[v] if injective else min(deg[v], 1)
-            start[i] = int("".join("1" if len(nb) >= need else "0"
+            start[i] = int("".join("1" if len(nb) >= deg[v] else "0"
                                    for nb in reversed(host_adj)) or "0", 2)
     if pin is not None:
         (u, v) = pin[1]
         start[0] &= 1 << u
         start[1] &= 1 << v
-    return plan_embeddings(order, anchors, nbr, start, injective, color)
+    return plan_embeddings(order, anchors, nbr, start, color)
 
 
 def plan_embeddings(order: list[int], anchors: list[list[int]], nbr: list[int],
-                    start: list[int], injective: bool = True,
-                    color: dict | None = None):
-    """The embedding kernel: yield every map of a placement plan (see
-    placement) into a host given by bitmask rows, ``nbr[h]`` holding the
-    neighbors of host vertex h.
+                    start: list[int], color: dict | None = None):
+    """The embedding kernel: yield every injective map of a placement plan
+    (see placement) into a host given by bitmask rows, ``nbr[h]`` holding
+    the neighbors of host vertex h.
 
-    Position i tries the host vertices in ``start[i]`` that are adjacent
-    to the images of all its anchors (and unused, when injective), in
-    ascending order; ``color`` is as in embeddings.  The search keeps an
-    explicit stack instead of recursing.
+    Position i tries the unused host vertices in ``start[i]`` that are
+    adjacent to the images of all its anchors, in ascending order;
+    ``color`` is as in embeddings.  The search keeps an explicit stack
+    instead of recursing.
     """
     if not order:
         yield ()
@@ -387,8 +394,7 @@ def plan_embeddings(order: list[int], anchors: list[list[int]], nbr: list[int],
             continue
         rest[i] = r
         image[v] = h
-        if injective:
-            used |= low
+        used |= low
         if color is not None:
             added[i] = new
             used_colors |= new

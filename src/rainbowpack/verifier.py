@@ -1,4 +1,4 @@
-"""Rainbow-copy detection, order classification, and the pentagon audit.
+"""Rainbow-copy detection and the pentagon audit.
 
 A copy of G inside the union graph of a packing is rainbow when its edges
 all come from pairwise different copies of the pattern.  find_rainbow
@@ -30,16 +30,11 @@ union's triangles.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AuditError, GuardError
 from .graphs import ColoredPacking, SimpleGraph, _norm_edge, embeddings
-
-# with no color-symmetry break, proving that no map exists grows about 11x
-# per vertex: K10 -> K9 takes about 1.2 s, K11 -> K10 about 14 s
-_HOMOMORPHISM_N_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -106,8 +101,9 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     sorted order and intersects neighborhoods, so the witness is the
     lexicographically smallest rainbow triangle, and the scan returns None
     if there is none.  Any other graph takes the first map of the
-    embedding kernel, which tries host vertices in ascending order; the
-    count never changes which witness is named.
+    embedding kernel, which tries host vertices in ascending order and
+    raises GuardError when the union is too sparse and wide for its
+    bitmask rows; the count never changes which witness is named.
     """
     check_forbidden(forbidden)
     col = packing.edge_color
@@ -171,34 +167,6 @@ def _count_triangles(n: int, edges) -> tuple[list[int], int]:
         else:
             out[v].add(u)
     return deg, sum(len(out[u] & out[v]) for u in range(n) for v in out[u])
-
-
-def exists_homomorphism(g: SimpleGraph, f: SimpleGraph) -> bool:
-    """Edge-preserving (not necessarily injective) map V(g) -> V(f)?"""
-    if g.n > _HOMOMORPHISM_N_LIMIT or f.n > _HOMOMORPHISM_N_LIMIT:
-        raise GuardError(f"exists_homomorphism guard: sizes exceed "
-                         f"limit={_HOMOMORPHISM_N_LIMIT}")
-    if g.edge_count() > 0 and f.edge_count() == 0:
-        return False
-    return next(embeddings(g, f.adjacency(), injective=False), None) is not None
-
-
-class OrderClass(enum.Enum):
-    QUADRATIC_THETA = "QuadraticTheta"
-    SUBQUADRATIC_LITTLE_O = "SubquadraticLittleO"
-
-
-def classify_order(pattern: SimpleGraph, forbidden: SimpleGraph) -> OrderClass:
-    """Growth class of the extremal copy count as a function of n.
-
-    Quadratically many edge-disjoint pattern copies can avoid a rainbow
-    forbidden graph exactly when the forbidden graph admits no homomorphism
-    into the pattern (monochromatic blow-ups then work); otherwise the
-    count is subquadratic.
-    """
-    if exists_homomorphism(forbidden, pattern):
-        return OrderClass.SUBQUADRATIC_LITTLE_O
-    return OrderClass.QUADRATIC_THETA
 
 
 @dataclass(frozen=True)
