@@ -6,12 +6,14 @@ between the integral packing number and e(host)/e(pattern).  The x <= 1
 bounds are implied by the edge rows (every copy covers at least one edge)
 and are not added as rows.
 
-The solver is a dense simplex on a fraction-free integer tableau (Edmonds
-1967, Bareiss 1968): every cell is an integer over one common denominator,
-the determinant of the current basis, and each pivot divides exactly.
-Bland's rule picks the pivots, so it terminates and the optimum is exact.
+The solver is a revised simplex in fraction-free integer arithmetic
+(Edmonds 1967, Bareiss 1968).  It stores d·B⁻¹ and the scaled right side
+and duals, d = det B, about m² integers for m host edges whatever the copy
+count, and sums a copy's column from them only when it is needed.  Each
+pivot divides exactly.  Bland's rule makes the pivots a dense tableau would
+make (see ``_simplex_max``), so it terminates and the optimum is exact.
 
-The optimal tableau also yields dual prices, one per host edge.  They are
+The optimal basis also yields dual prices, one per host edge.  They are
 a fractional cover: non-negative, at least 1 in total on every copy, and
 summing to nu*.  By weak duality that proves the weights optimal, and
 ``validate`` checks it exactly on every solve.
@@ -96,68 +98,65 @@ class FractionalPackingProblem:
         }
 
 
-def _eliminate(row: list[int], prow: list[int], enter: int, p: int, d: int
-               ) -> list[int]:
+def _pivot(row: list[int], prow: list[int], f: int, p: int, d: int) -> list[int]:
     """One row of a fraction-free pivot; the division is always exact."""
-    f = row[enter]
     if f == 0:
         return row if p == d else [x * p // d for x in row]
     return [(p * x - f * y) // d for x, y in zip(row, prow)]
 
 
-def _simplex_max(a: list[list[int]], c: list[int]):
-    """Maximize c.x subject to a.x <= 1, x >= 0; returns (value, x, y).
+def _simplex_max(copies: list[list[int]], m: int):
+    """Maximize the total weight of the copies subject to each of the m
+    rows carrying at most 1, copy j covering the rows ``copies[j]``;
+    returns (value, x, y), y the dual prices of the rows.
 
-    y holds the dual prices of the rows.  The all-slack basis is feasible
-    because the right side is all ones.  Entering and leaving variables
-    follow Bland's rule, which cannot cycle.  Every tableau cell is an
-    integer; the true entry is the cell over d, the basis determinant,
-    which stays positive because every pivot is.
+    Stored: ``rows[r] = [d·B⁻¹ row r | (d·B⁻¹·1)[r]]`` and ``obj = [d·y |
+    d·nu]``, updated by the Bareiss step.  Priced when needed: copy j has
+    reduced cost Σ_{e ∈ copy j} d·y_e − d and column Σ_{e ∈ copy j} column
+    e of d·B⁻¹; the slack of row i has d·y_i and column i of d·B⁻¹.  Those
+    are the cells of the dense tableau [A | I | 1], each d times its true
+    value, so Bland's rule (lowest entering index, copies before slacks,
+    ratio ties to the lowest basic index) pivots as the dense simplex
+    does.  The all-slack start is feasible because the right side is all
+    ones; d stays positive because every pivot is.
     """
-    m = len(a)
-    nvars = len(c)
-    width = nvars + m + 1
-    rows = []
-    for i in range(m):
-        row = list(a[i]) + [0] * m + [1]
-        row[nvars + i] = 1
-        rows.append(row)
-    obj = [-x for x in c] + [0] * (m + 1)
-    basis = list(range(nvars, nvars + m))
+    cols = copies + [[i] for i in range(m)]
+    cost = [1] * len(copies) + [0] * m
+    rows = [[int(i == r) for i in range(m)] + [1] for r in range(m)]
+    obj = [0] * (m + 1)
+    basis = list(range(len(copies), len(cols)))
     d = 1
 
     while True:
-        enter = next((j for j in range(width - 1) if obj[j] < 0), None)
+        enter = next((j for j, es in enumerate(cols)
+                      if sum([obj[e] for e in es]) < cost[j] * d), None)
         if enter is None:
             break
+        es = cols[enter]
+        col = [sum([row[e] for e in es]) for row in rows]
         leave = None
-        for r in range(m):
-            coef = rows[r][enter]
-            if coef > 0:
-                if leave is None:
-                    leave = r
-                    continue
-                # rhs_r / coef against rhs_leave / coef_leave, cross-multiplied
-                lhs = rows[r][-1] * rows[leave][enter]
-                rhs = rows[leave][-1] * coef
-                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
-                    leave = r
+        for r, coef in enumerate(col):
+            # rhs_r / coef against rhs_leave / coef_leave, cross-multiplied;
+            # a tie goes to the lower basic index
+            if coef > 0 and (leave is None or (rows[r][-1] * col[leave], basis[r])
+                             < (rows[leave][-1] * coef, basis[leave])):
+                leave = r
         if leave is None:
             raise ArithmeticError("LP claims unbounded, model must be wrong")
         prow = rows[leave]
-        p = prow[enter]
+        p = col[leave]
         for r in range(m):
             if r != leave:
-                rows[r] = _eliminate(rows[r], prow, enter, p, d)
-        obj = _eliminate(obj, prow, enter, p, d)
+                rows[r] = _pivot(rows[r], prow, col[r], p, d)
+        obj = _pivot(obj, prow, sum([obj[e] for e in es]) - cost[enter] * d, p, d)
         d = p
         basis[leave] = enter
 
-    x = [Fraction(0)] * nvars
+    x = [Fraction(0)] * len(copies)
     for r in range(m):
-        if basis[r] < nvars:
+        if basis[r] < len(copies):
             x[basis[r]] = Fraction(rows[r][-1], d)
-    y = [Fraction(obj[nvars + i], d) for i in range(m)]
+    y = [Fraction(obj[i], d) for i in range(m)]
     return (Fraction(obj[-1], d), x, y)
 
 
@@ -180,11 +179,8 @@ def lp_fractional_packing(host: SimpleGraph, pattern: SimpleGraph
         return (Fraction(0), problem)
 
     edge_row = {e: i for i, e in enumerate(host_edges)}
-    a = [[0] * len(copies) for _ in host_edges]
-    for ci, emb in enumerate(copies):
-        for e in embedded_edges(pattern, emb):
-            a[edge_row[e]][ci] = 1
-    value, x, y = _simplex_max(a, [1] * len(copies))
+    copy_rows = [[edge_row[e] for e in embedded_edges(pattern, emb)] for emb in copies]
+    value, x, y = _simplex_max(copy_rows, len(host_edges))
     problem = FractionalPackingProblem(host, pattern, tuple(copies), tuple(x), tuple(y))
     problem.validate()
     return (value, problem)

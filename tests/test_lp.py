@@ -7,12 +7,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rainbowpack import (FractionalPackingProblem, GuardError, SearchConfig,
                          SimpleGraph, blow_up, BlowupSpec, c5_blowup_packing,
                          lp_fractional_packing, max_rainbow_free_packing)
 from rainbowpack.graphs import canonical_json
+from rainbowpack.lp import _simplex_max
 
 K3 = SimpleGraph.complete(3)
 K4 = SimpleGraph.complete(4)
@@ -201,6 +202,66 @@ def test_lp_certificate_on_random_hosts(n, pattern, data):
     assert sum(problem.weights) == sum(problem.duals) == value
 
 
+def _dense_bland(a: list[list[int]]):
+    """Maximize sum(x) subject to a.x <= 1, x >= 0 on a dense Fraction
+    tableau: the textbook simplex with Bland's rule (structural columns
+    before slacks, lowest entering index, ratio ties to the lowest basic
+    index).  Returns (value, x, y), y the dual prices of the rows."""
+    m, nvars = len(a), len(a[0]) if a else 0
+    tab = [[Fraction(v) for v in a[i]] + [Fraction(int(i == k)) for k in range(m)]
+           + [Fraction(1)] for i in range(m)]
+    obj = [Fraction(-1)] * nvars + [Fraction(0)] * (m + 1)
+    basis = list(range(nvars, nvars + m))
+    while True:
+        enter = next((j for j in range(nvars + m) if obj[j] < 0), None)
+        if enter is None:
+            break
+        ratios = [(tab[r][-1] / tab[r][enter], basis[r], r)
+                  for r in range(m) if tab[r][enter] > 0]
+        _, _, leave = min(ratios)
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        for row in tab[:leave] + tab[leave + 1:] + [obj]:
+            f = row[enter]
+            if f:
+                row[:] = [v - f * w for v, w in zip(row, tab[leave])]
+        basis[leave] = enter
+    x = [Fraction(0)] * nvars
+    for r, b in enumerate(basis):
+        if b < nvars:
+            x[b] = tab[r][-1]
+    return obj[-1], x, obj[nvars:nvars + m]
+
+
+@st.composite
+def _random_hosts(draw):
+    n = draw(st.integers(3, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+
+
+# complete hosts are the most degenerate LPs, with ties in every ratio test;
+# they stop at K6, where the Fraction oracle needs about 0.6 s for C5.  The
+# two pinned hosts move the vertex if ratio ties ignore the basic index (K6/C4)
+# or if slacks are priced before copies (K6/K3).
+@settings(max_examples=40, deadline=None)
+@example(host=SimpleGraph.complete(6), pattern=C4)
+@example(host=SimpleGraph.complete(6), pattern=K3)
+@given(host=st.one_of(_random_hosts(), st.integers(3, 6).map(SimpleGraph.complete)),
+       pattern=st.sampled_from([K3, C4, C5]))
+def test_simplex_matches_dense_bland_oracle(host, pattern):
+    edges = host.sorted_edges()
+    copies = [[tuple(sorted((emb[u], emb[v]))) for (u, v) in pattern.edges]
+              for emb in lp_fractional_packing(host, pattern)[1].copy_list]
+    a = [[int(e in copy) for copy in copies] for e in edges]
+    want = _dense_bland(a)
+    rows = [[edges.index(e) for e in copy] for copy in copies]
+    value, x, y = _simplex_max(rows, len(edges))
+    # the same vertex and the same duals, not only the same optimum
+    assert (value, x, y) == want
+
+
 # sha256 of the canonical (nuStar, weights) payload, recorded from the
 # Fraction-tableau simplex that preceded the integer one.  Bland's rule fixes
 # the pivot sequence, so any change of pivot rule that moves the returned
@@ -214,6 +275,10 @@ GOLDEN_LP = {
                  "8a89387be27c00e78bec9a26a0fa20c87cdc9005a609a98a490f24357674305e"),
     "petersen/c5": (SimpleGraph.petersen(), C5,
                     "521e4685c735b8a9ba96cc99553814e55a466ef7162a9a0d64b5b5f36f58dc1e"),
+    # 1,512 columns, nu* = 36/5; recorded from the dense integer tableau,
+    # which took about 27 s on it
+    "k9/c5": (SimpleGraph.complete(9), C5,
+              "61575167563502220cad0465c67993bfc709f051dfdd5017b3d5cab3e688cb76"),
 }
 
 
