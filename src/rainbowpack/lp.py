@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import GuardError
 from .graphs import SimpleGraph, embedded_edges
@@ -106,56 +107,58 @@ def _pivot(row: list[int], prow: list[int], f: int, p: int, d: int) -> list[int]
 
 
 def _simplex_max(copies: list[list[int]], m: int):
-    """Maximize the total weight of the copies subject to each of the m
-    rows carrying at most 1, copy j covering the rows ``copies[j]``;
-    returns (value, x, y), y the dual prices of the rows.
+    """Maximize the total weight of the copies, copy j covering the rows
+    ``copies[j]``, with each of the m rows carrying at most 1; returns
+    (value, x, y), y the dual prices of the rows.
 
     Stored: ``rows[r] = [d·B⁻¹ row r | (d·B⁻¹·1)[r]]`` and ``obj = [d·y |
     d·nu]``, updated by the Bareiss step.  Priced when needed: copy j has
     reduced cost Σ_{e ∈ copy j} d·y_e − d and column Σ_{e ∈ copy j} column
-    e of d·B⁻¹; the slack of row i has d·y_i and column i of d·B⁻¹.  Those
+    e of d·B⁻¹; the slack of row i has d·y_i and column i of d·B⁻¹.  These
     are the cells of the dense tableau [A | I | 1], each d times its true
     value, so Bland's rule (lowest entering index, copies before slacks,
-    ratio ties to the lowest basic index) pivots as the dense simplex
-    does.  The all-slack start is feasible because the right side is all
-    ones; d stays positive because every pivot is.
+    ratio ties to the lowest basic index) pivots as the dense simplex does.
+    The all-slack start is feasible as the right side is all ones, and d
+    stays positive because every pivot is.
     """
-    cols = copies + [[i] for i in range(m)]
-    cost = [1] * len(copies) + [0] * m
-    rows = [[int(i == r) for i in range(m)] + [1] for r in range(m)]
+    n = len(copies)
+    # an itemgetter of one index returns that item, of a slice a list
+    takes = [itemgetter(*es) if len(es) > 1 else itemgetter(slice(es[0], es[0] + 1))
+             for es in copies]
+    rows = [[0] * r + [1] + [0] * (m - 1 - r) + [1] for r in range(m)]
     obj = [0] * (m + 1)
-    basis = list(range(len(copies), len(cols)))
+    basis = list(range(n, n + m))
     d = 1
 
     while True:
-        enter = next((j for j, es in enumerate(cols)
-                      if sum([obj[e] for e in es]) < cost[j] * d), None)
-        if enter is None:
-            break
-        es = cols[enter]
-        col = [sum([row[e] for e in es]) for row in rows]
+        enter = next((j for j, take in enumerate(takes) if sum(take(obj)) < d), None)
+        if enter is not None:
+            take = takes[enter]
+            col, f = [sum(take(row)) for row in rows], sum(take(obj)) - d
+        else:
+            slack = next((i for i in range(m) if obj[i] < 0), None)
+            if slack is None:
+                break
+            enter, col, f = n + slack, [row[slack] for row in rows], obj[slack]
         leave = None
         for r, coef in enumerate(col):
             # rhs_r / coef against rhs_leave / coef_leave, cross-multiplied;
-            # a tie goes to the lower basic index
+            # ties go to the lower basic index
             if coef > 0 and (leave is None or (rows[r][-1] * col[leave], basis[r])
                              < (rows[leave][-1] * coef, basis[leave])):
                 leave = r
         if leave is None:
             raise ArithmeticError("LP claims unbounded, model must be wrong")
-        prow = rows[leave]
-        p = col[leave]
+        prow, p = rows[leave], col[leave]
         for r in range(m):
             if r != leave:
                 rows[r] = _pivot(rows[r], prow, col[r], p, d)
-        obj = _pivot(obj, prow, sum([obj[e] for e in es]) - cost[enter] * d, p, d)
+        obj = _pivot(obj, prow, f, p, d)
         d = p
         basis[leave] = enter
 
-    x = [Fraction(0)] * len(copies)
-    for r in range(m):
-        if basis[r] < len(copies):
-            x[basis[r]] = Fraction(rows[r][-1], d)
+    rhs = {j: row[-1] for j, row in zip(basis, rows)}
+    x = [Fraction(rhs.get(j, 0), d) for j in range(n)]
     y = [Fraction(obj[i], d) for i in range(m)]
     return (Fraction(obj[-1], d), x, y)
 
