@@ -276,7 +276,7 @@ GOLDEN_LP = {
     "petersen/c5": (SimpleGraph.petersen(), C5,
                     "521e4685c735b8a9ba96cc99553814e55a466ef7162a9a0d64b5b5f36f58dc1e"),
     # 1,512 columns, nu* = 36/5; recorded from the dense integer tableau,
-    # which took about 27 s on it
+    # which took about 27 s on it on a 2-vCPU VM
     "k9/c5": (SimpleGraph.complete(9), C5,
               "61575167563502220cad0465c67993bfc709f051dfdd5017b3d5cab3e688cb76"),
 }
