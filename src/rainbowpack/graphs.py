@@ -8,6 +8,7 @@ the copy index doubles as the color of every edge inside that copy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -303,7 +304,7 @@ def placement(small: SimpleGraph, first=()) -> tuple[list[int], list[list[int]]]
 
 
 def embeddings(small: SimpleGraph, host_adj: list[set[int]],
-               color: dict | None = None, pin=None):
+               color: dict | None = None, pin=None, less=()):
     """Every injective edge-preserving map of ``small`` into a host, as an
     iterator of tuples whose entry i is the host vertex carrying small-graph
     vertex i.
@@ -311,10 +312,12 @@ def embeddings(small: SimpleGraph, host_adj: list[set[int]],
     The host is given by its adjacency sets.  With ``color`` (host edge
     (u, v), u < v, to color) only maps whose edges get pairwise distinct
     colors are yielded.  ``pin=((a, b), (u, v))`` yields only the maps with
-    a -> u and b -> v.  Small-graph vertices are placed in the order of
-    ``placement``, a pinned a and b first, and candidates are tried in
-    ascending order, so maps come out in a fixed order.  GuardError when
-    the host's bitmask rows would need more than _ROW_BYTES_LIMIT bytes.
+    a -> u and b -> v.  Each pair (a, b) in ``less`` yields only the maps
+    with a below b (see lex_min_conditions).  Small-graph vertices are
+    placed in the order of ``placement``, a pinned a and b first, and
+    candidates are tried in ascending order, so maps come out in a fixed
+    order.  GuardError when the host's bitmask rows would need more than
+    _ROW_BYTES_LIMIT bytes.
     """
     rows = sum(max(nb) for nb in host_adj if nb) // 8
     if rows > _ROW_BYTES_LIMIT:
@@ -339,19 +342,31 @@ def embeddings(small: SimpleGraph, host_adj: list[set[int]],
         (u, v) = pin[1]
         start[0] &= 1 << u
         start[1] &= 1 << v
-    return plan_embeddings(order, anchors, nbr, start, color)
+    bounds = None
+    if less:
+        # each pair bounds the later-placed of its two vertices
+        at = {v: i for i, v in enumerate(order)}
+        bounds = [([], []) for _ in order]
+        for (a, b) in less:
+            if at[a] < at[b]:
+                bounds[at[b]][0].append(a)
+            else:
+                bounds[at[a]][1].append(b)
+    return plan_embeddings(order, anchors, nbr, start, color, bounds)
 
 
 def plan_embeddings(order: list[int], anchors: list[list[int]], nbr: list[int],
-                    start: list[int], color: dict | None = None):
+                    start: list[int], color: dict | None = None, bounds=None):
     """The embedding kernel: yield every injective map of a placement plan
     (see placement) into a host given by bitmask rows, ``nbr[h]`` holding
     the neighbors of host vertex h.
 
     Position i tries the unused host vertices in ``start[i]`` that are
     adjacent to the images of all its anchors, in ascending order;
-    ``color`` is as in embeddings.  The search keeps an explicit stack
-    instead of recursing.
+    ``color`` is as in embeddings.  With ``bounds``, position i also takes
+    only host vertices above the images of the earlier-placed vertices in
+    ``bounds[i][0]`` and below those in ``bounds[i][1]``.  The search keeps
+    an explicit stack instead of recursing.
     """
     if not order:
         yield ()
@@ -402,6 +417,12 @@ def plan_embeddings(order: list[int], anchors: list[list[int]], nbr: list[int],
         m = start[i] & ~used
         for u in anchors[i]:
             m &= nbr[image[u]]
+        if bounds is not None:
+            above, below = bounds[i]
+            for u in above:
+                m &= -(2 << image[u])
+            for u in below:
+                m &= (1 << image[u]) - 1
         rest[i] = m
         if color is not None:
             placed[i] = [image[u] for u in anchors[i]]
@@ -434,3 +455,40 @@ def arc_orbit_representatives(g: SimpleGraph) -> list[tuple[int, int]]:
                     is not None):
                 seen.add((p, q))
     return reps
+
+
+@functools.lru_cache(maxsize=256)
+def lex_min_conditions(g: SimpleGraph) -> tuple[tuple[int, int], ...]:
+    """The symmetry-breaking pairs of g (Grochow and Kellis 2007): (i, v),
+    i < v, whenever some automorphism of g fixes each of 0..i-1 and maps i
+    to v, that is v lies in the orbit of i under the pointwise stabilizer
+    of 0..i-1 (McKay and Piperno 2014).
+
+    Of the maps of g into a host that differ by an automorphism of g,
+    exactly one puts the image of i below that of v for every pair: the
+    lexicographically smallest.  A map m that fails a pair (i, v) loses to
+    m after t, t such an automorphism, which agrees with m before i and
+    sends i to m(v) < m(i).  A map that meets every pair beats m after any
+    other automorphism t at the first vertex j that t moves, since t(j) is
+    in the orbit of j.
+
+    Each pair is found by a search of g into itself with 0..i-1 pinned to
+    themselves and i to v, as in arc_orbit_representatives, so Aut(g) is
+    never listed.  Cached, as the searches cost more than a small solve.
+    """
+    adj = g.adjacency()
+    nbr = [sum(1 << w for w in nb) for nb in adj]
+    # an automorphism keeps every degree
+    same_degree: dict[int, int] = {}
+    for v, nb in enumerate(adj):
+        same_degree[len(nb)] = same_degree.get(len(nb), 0) | 1 << v
+    pairs = []
+    for i in range(g.n):
+        order, anchors = placement(g, range(i + 1))
+        start = [1 << v if v < i else same_degree[len(adj[v])] for v in order]
+        for v in range(i + 1, g.n):
+            if start[i] >> v & 1:
+                pinned = start[:i] + [1 << v] + start[i + 1:]
+                if next(plan_embeddings(order, anchors, nbr, pinned), None) is not None:
+                    pairs.append((i, v))
+    return tuple(pairs)

@@ -21,6 +21,7 @@ summing to nu*.  By weak duality that proves the weights optimal, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -62,32 +63,48 @@ class FractionalPackingProblem:
 
     def validate(self) -> None:
         """Copies inside the host and primal feasibility; with duals, also
-        the optimality certificate."""
-        for emb in self.copy_list:
-            for e in embedded_edges(self.pattern, emb):
-                if e not in self.host.edges:
-                    raise ValueError(f"copy {emb} uses {e}, which is not a host edge")
-        for wt in self.weights:
-            if not 0 <= wt <= 1:
-                raise ValueError(f"weight {wt} outside [0, 1]")
-        for e, load in self.edge_loads().items():
-            if load > 1:
-                raise ValueError(f"edge {e} overloaded: {load}")
-        if self.duals:
-            self._validate_duals()
+        the optimality certificate.
 
-    def _validate_duals(self) -> None:
-        price = dict(zip(self.host.sorted_edges(), self.duals))
-        for e, y in price.items():
+        One pass over the copies, in integers: weights and loads over the
+        weights' common denominator, duals and covers over the duals'.
+        """
+        scale = math.lcm(*(w.denominator for w in self.weights))
+        ints = [w.numerator * (scale // w.denominator) for w in self.weights]
+        if self.duals:
+            dual_scale = math.lcm(*(y.denominator for y in self.duals))
+            prices = [y.numerator * (dual_scale // y.denominator) for y in self.duals]
+            price = dict(zip(self.host.sorted_edges(), prices))
+        host_edges = self.host.edges
+        loads: dict[tuple[int, int], int] = {}
+        short = None  # the first copy the duals cover less than 1, and by how much
+        for emb, w in zip(self.copy_list, ints):
+            edges = embedded_edges(self.pattern, emb)
+            for e in edges:
+                if e not in host_edges:
+                    raise ValueError(f"copy {emb} uses {e}, which is not a host edge")
+                loads[e] = loads.get(e, 0) + w
+            if self.duals and short is None:
+                covered = sum([price[e] for e in edges])
+                if covered < dual_scale:
+                    short = (emb, covered)
+        for wt, w in zip(self.weights, ints):
+            if not 0 <= w <= scale:
+                raise ValueError(f"weight {wt} outside [0, 1]")
+        for e, load in loads.items():
+            if load > scale:
+                raise ValueError(f"edge {e} overloaded: {Fraction(load, scale)}")
+        if not self.duals:
+            return
+        for e, y in zip(self.host.sorted_edges(), self.duals):
             if y < 0:
                 raise ValueError(f"dual {y} on edge {e} is negative")
-        for emb in self.copy_list:
-            covered = sum(price[e] for e in embedded_edges(self.pattern, emb))
-            if covered < 1:
-                raise ValueError(f"copy {emb} covered only {covered} by the duals")
-        dual_value = sum(self.duals, Fraction(0))
-        if dual_value != self.value():
-            raise ValueError(f"dual value {dual_value} != primal value {self.value()}")
+        if short is not None:
+            emb, covered = short
+            raise ValueError(f"copy {emb} covered only {Fraction(covered, dual_scale)} "
+                             f"by the duals")
+        if sum(prices) * scale != sum(ints) * dual_scale:
+            raise ValueError(f"dual value {sum(self.duals, Fraction(0))} "
+                             f"!= primal value {self.value()}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -33,14 +33,15 @@ from dataclasses import dataclass
 from .errors import GuardError
 from .graphs import (ColoredPacking, SimpleGraph, _norm_edge,
                      arc_orbit_representatives, embedded_edges, embeddings,
-                     placement, plan_embeddings)
+                     lex_min_conditions, placement, plan_embeddings)
 from .verifier import check_forbidden
 
 _SOLVER_N_LIMIT = 12
 _ORACLE_COPY_LIMIT = 24
-# embeddings enumerate_copies walks before it gives up: |Aut(F)| per copy,
-# so K10 in K12 is 66 copies but 240M embeddings.  The largest inputs the
-# tests and benchmark use walk under 10^5 (C5 in K12: 95,040).
+# copies enumerate_copies finds before it gives up, also the cap on
+# max_copies: the kernel walks one embedding per copy, so C12 in K12 (about
+# 2*10^7 copies) is refused after 10^6.  The largest inputs the tests and
+# benchmark use have under 10^4 (C5 in K12: 9,504).
 _EMBEDDING_LIMIT = 1_000_000
 
 
@@ -50,11 +51,13 @@ def enumerate_copies(n: int, pattern: SimpleGraph,
     """All copies of the pattern in the host (K_n when host is None).
 
     One embedding per copy (per distinct edge set): the lexicographically
-    smallest vertex tuple realizing it.  Copies are sorted by their sorted
-    edge tuple, so the order is canonical.  GuardError as soon as more than
-    max_copies distinct copies turn up, or once the search has walked
-    _EMBEDDING_LIMIT embeddings with more to come, before the rest are
-    enumerated.
+    smallest vertex tuple realizing it.  The kernel walks only those,
+    through lex_min_conditions of the pattern without its isolated
+    vertices; Aut(F) does not reach the isolated vertices, as a copy is its
+    edge set, so they take the smallest host vertices outside the copy, in
+    ascending order.  Copies are sorted by their sorted edge tuple, so the
+    order is canonical.  GuardError as soon as more than max_copies (at
+    most _EMBEDDING_LIMIT) copies turn up, before the rest are enumerated.
     """
     if pattern.edge_count() == 0:
         raise ValueError("pattern needs at least one edge")
@@ -62,22 +65,38 @@ def enumerate_copies(n: int, pattern: SimpleGraph,
         host = SimpleGraph.complete(n)
     if host.n != n:
         raise ValueError(f"host has {host.n} vertices, expected n={n}")
-    found: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
-    walk = embeddings(pattern, host.adjacency())
-    for emb in itertools.islice(walk, _EMBEDDING_LIMIT):
-        key = tuple(embedded_edges(pattern, emb))
-        old = found.get(key)
-        if old is None:
-            if len(found) == max_copies:
-                raise GuardError(
-                    f"enumerate_copies guard: copies exceed {max_copies}")
-            found[key] = emb
-        elif emb < old:
-            found[key] = emb
+    limit = _EMBEDDING_LIMIT if max_copies is None else min(max_copies, _EMBEDDING_LIMIT)
+    if pattern.n > n:
+        return []
+    deg = pattern.degrees()
+    spots = [v for v in range(pattern.n) if deg[v]]
+    core = pattern
+    if len(spots) < pattern.n:
+        index = {v: j for j, v in enumerate(spots)}
+        core = SimpleGraph(len(spots), frozenset(
+            (index[u], index[v]) for (u, v) in pattern.edges))
+    walk = embeddings(core, host.adjacency(), less=lex_min_conditions(core))
+    copies = list(itertools.islice(walk, limit))
     if next(walk, None) is not None:
-        raise GuardError(f"enumerate_copies guard: more than {_EMBEDDING_LIMIT} "
-                         f"embeddings of the pattern")
-    return [found[key] for key in sorted(found)]
+        raise GuardError(f"enumerate_copies guard: copies exceed {limit}")
+    if core is not pattern:
+        isolated = [v for v in range(pattern.n) if not deg[v]]
+        copies = [_with_isolated(emb, spots, isolated, n) for emb in copies]
+    return sorted(copies, key=lambda emb: embedded_edges(pattern, emb))
+
+
+def _with_isolated(emb: tuple[int, ...], spots: list[int], isolated: list[int],
+                   n: int) -> tuple[int, ...]:
+    """The pattern tuple of a core embedding: core vertex j at pattern
+    vertex spots[j], and the isolated vertices on the smallest free host
+    vertices in ascending order."""
+    full = [0] * (len(spots) + len(isolated))
+    for v, h in zip(spots, emb):
+        full[v] = h
+    free = (h for h in range(n) if h not in emb)
+    for v in isolated:
+        full[v] = next(free)
+    return tuple(full)
 
 
 @dataclass(frozen=True)

@@ -295,14 +295,28 @@ def test_oversized_searches_are_rejected(capsys, monkeypatch):
         assert time.perf_counter() - t0 < 1.0, argv
         assert (code, out) == (1, ""), argv
         assert err.startswith("error:") and "behrend_q_free guard" in err, argv
-    # few copies but 10! embeddings each: the walk is capped, not the copy
-    # count (lowered here so the test stays fast)
-    monkeypatch.setattr(solver, "_EMBEDDING_LIMIT", 10_000)
-    for argv in (["solve", "--n", "12", "--F", "k10", "--G", "k3"],
-                 ["lp", "--host", "k11", "--pattern", "k9"]):
+    # copy enumeration stops at _EMBEDDING_LIMIT copies (lowered here so the
+    # test stays fast): C6 in K12 has 55,440 copies, and K9/C5 has 1,512,
+    # under the LP's own 2000
+    monkeypatch.setattr(solver, "_EMBEDDING_LIMIT", 1000)
+    for argv in (["solve", "--n", "12", "--F", "c6", "--G", "k3"],
+                 ["lp", "--host", "k9", "--pattern", "c5"]):
         code, out, err = run(capsys, argv)
         assert (code, out) == (1, ""), argv
-        assert err.startswith("error:") and "embeddings" in err, argv
+        assert err.startswith("error:") and "copies exceed 1000" in err, argv
+
+
+def test_few_copies_of_large_patterns_are_solved(capsys):
+    # one embedding per copy: 66 copies of K10 in K12, each of which has
+    # 10! automorphisms, and 45 copies of K8 in K10, each edge in 28 of them
+    code, out, _ = run(capsys, ["solve", "--n", "12", "--F", "k10", "--G", "k3"])
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["value"], obj["optimal"]) == (1, True)
+    code, out, _ = run(capsys, ["lp", "--host", "k10", "--pattern", "k8"])
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["nuStar"], len(obj["weights"])) == ("45/28", 45)
 
 
 @pytest.mark.parametrize("flag", ["--threads", "--seed"])

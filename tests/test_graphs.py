@@ -13,7 +13,7 @@ from rainbowpack import (BlowupSpec, ColoredPacking, GuardError, PackingError,
 from rainbowpack import graphs
 from rainbowpack.constructions import c5_blowup_packing, k5_double_pentagon
 from rainbowpack.graphs import (_JSON_N_LIMIT, arc_orbit_representatives,
-                                 embeddings)
+                                 embeddings, lex_min_conditions)
 
 
 def test_edge_normalization_and_value_equality():
@@ -245,6 +245,22 @@ def test_arc_orbit_representatives_of_large_symmetric_graphs():
     assert arc_orbit_representatives(SimpleGraph.cycle(8)) == [(0, 1)]
     assert arc_orbit_representatives(SimpleGraph.path(4)) == [(0, 1), (1, 0), (1, 2)]
     assert arc_orbit_representatives(SimpleGraph.petersen()) == [(0, 1)]
+
+
+def test_lex_min_conditions_against_permutations():
+    # every labeled graph on at most 5 vertices, isolated vertices included:
+    # the pairs are the stabilizer-chain orbits, and the only self-map that
+    # meets them is the identity, the smallest automorphism
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for keep in itertools.product((False, True), repeat=len(pairs)):
+            g = SimpleGraph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+            autos = _automorphisms(g)
+            want = sorted({(i, p[i]) for p in autos for i in range(n)
+                           if p[:i] == tuple(range(i)) and p[i] != i})
+            conditions = lex_min_conditions(g)
+            assert list(conditions) == want, g
+            assert list(embeddings(g, g.adjacency(), less=conditions)) == [tuple(range(n))]
 
 
 def test_embedding_kernel_roots_skip_isolated_host_vertices():

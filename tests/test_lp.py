@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -175,6 +176,90 @@ def test_dual_checks_each_fail_on_their_own():
         problem((0, 0, 1, 1, 1, 0)).validate()
     with pytest.raises(ValueError, match="one dual per host edge"):
         problem((1, 1))
+
+
+def _fraction_validate(problem: FractionalPackingProblem) -> None:
+    """validate() as first written, in Fractions, one check after another:
+    the reference for the one-pass integer check."""
+    def edges(emb):
+        return sorted(tuple(sorted((emb[u], emb[v]))) for (u, v) in problem.pattern.edges)
+
+    for emb in problem.copy_list:
+        for e in edges(emb):
+            if e not in problem.host.edges:
+                raise ValueError(f"copy {emb} uses {e}, which is not a host edge")
+    for wt in problem.weights:
+        if not 0 <= wt <= 1:
+            raise ValueError(f"weight {wt} outside [0, 1]")
+    loads = {}
+    for emb, wt in zip(problem.copy_list, problem.weights):
+        for e in edges(emb):
+            loads[e] = loads.get(e, Fraction(0)) + wt
+    for e, load in loads.items():
+        if load > 1:
+            raise ValueError(f"edge {e} overloaded: {load}")
+    if not problem.duals:
+        return
+    price = dict(zip(problem.host.sorted_edges(), problem.duals))
+    for e, y in price.items():
+        if y < 0:
+            raise ValueError(f"dual {y} on edge {e} is negative")
+    for emb in problem.copy_list:
+        covered = sum(price[e] for e in edges(emb))
+        if covered < 1:
+            raise ValueError(f"copy {emb} covered only {covered} by the duals")
+    dual_value = sum(problem.duals, Fraction(0))
+    if dual_value != problem.value():
+        raise ValueError(f"dual value {dual_value} != primal value {problem.value()}")
+
+
+def _tampered(problem: FractionalPackingProblem, rng: random.Random):
+    """Copies of a solved problem with one part changed: a copy, a weight,
+    a dual, or all weights or duals at once."""
+    weights, duals = list(problem.weights), list(problem.duals)
+    j, e = rng.randrange(len(weights)), rng.randrange(len(duals))
+    stray = tuple(rng.sample(range(problem.host.n), problem.pattern.n))
+    yield dataclasses.replace(
+        problem, copy_list=problem.copy_list[:j] + (stray,) + problem.copy_list[j + 1:])
+    for wt in (Fraction(-1, 3), Fraction(4, 3), weights[j] + Fraction(1, 2)):
+        yield dataclasses.replace(problem, weights=tuple(weights[:j] + [wt] + weights[j + 1:]))
+    for dy in (-duals[e] - Fraction(1, 5), -duals[e], Fraction(1, 7)):
+        yield dataclasses.replace(
+            problem, duals=tuple(duals[:e] + [duals[e] + dy] + duals[e + 1:]))
+    yield dataclasses.replace(problem, weights=tuple(min(Fraction(1), 2 * w) for w in weights))
+    yield dataclasses.replace(problem, duals=tuple(d * Fraction(5, 6) for d in duals))
+
+
+def _outcome(check, problem):
+    try:
+        check(problem)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_integer_validate_matches_the_fraction_checks_on_tampered_problems():
+    rng = random.Random(1413)
+    hosts = [(K4, K3), (SimpleGraph.petersen(), C5), (_blowup(K3, 3), C4),
+             (SimpleGraph.complete(6), C4)]
+    for _ in range(6):
+        n = rng.randint(5, 7)
+        hosts.append((SimpleGraph(n, frozenset(
+            e for e in itertools.combinations(range(n), 2) if rng.random() < 0.7)), K3))
+    kinds = ("not a host edge", "outside", "overloaded", "negative", "covered only",
+             "dual value")
+    seen = set()
+    for host, pattern in hosts:
+        _, problem = lp_fractional_packing(host, pattern)
+        if not problem.copy_list:
+            continue
+        assert _outcome(FractionalPackingProblem.validate, problem) is None
+        for _ in range(4):
+            for bad in _tampered(problem, rng):
+                want = _outcome(_fraction_validate, bad)
+                assert _outcome(FractionalPackingProblem.validate, bad) == want
+                seen.update(k for k in kinds if want is not None and k in want)
+    assert seen == set(kinds)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from rainbowpack import (GuardError, SearchConfig, SimpleGraph,
                          enumerate_copies, find_rainbow,
                          max_rainbow_free_packing, oracle_max_packing, solver)
-from rainbowpack.graphs import canonical_json, embeddings
+from rainbowpack.graphs import canonical_json, embedded_edges, embeddings
 from rainbowpack.solver import _naive_copies, _naive_rainbow_scan
 
 K3 = SimpleGraph.complete(3)
@@ -20,6 +20,9 @@ P3 = SimpleGraph.path(3)
 P4 = SimpleGraph.path(4)
 PAW = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
 K3_PLUS_VERTEX = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
+VERTEX_PLUS_K3 = SimpleGraph.from_edges(4, [(1, 2), (1, 3), (2, 3)])
+# a path with a pendant edge at its third vertex: no automorphism but the identity
+TREE = SimpleGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
 TWO_K2 = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
 THREE_K2 = SimpleGraph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
 
@@ -59,12 +62,40 @@ def test_enumerate_copies_guard():
 
 
 def test_enumerate_copies_embedding_cap(monkeypatch):
-    # K3 in K5: 10 copies, each walked once per automorphism, 60 embeddings
-    monkeypatch.setattr(solver, "_EMBEDDING_LIMIT", 60)
+    # K3 in K5: 10 copies, one embedding walked per copy; the lower of the
+    # cap and max_copies applies
+    monkeypatch.setattr(solver, "_EMBEDDING_LIMIT", 10)
     assert len(enumerate_copies(5, K3)) == 10
-    monkeypatch.setattr(solver, "_EMBEDDING_LIMIT", 59)
-    with pytest.raises(GuardError, match="more than 59 embeddings"):
+    monkeypatch.setattr(solver, "_EMBEDDING_LIMIT", 9)
+    with pytest.raises(GuardError, match="copies exceed 9"):
         enumerate_copies(5, K3)
+    with pytest.raises(GuardError, match="copies exceed 9"):
+        enumerate_copies(5, K3, max_copies=20)
+
+
+def test_enumerate_copies_walks_one_embedding_per_copy(monkeypatch):
+    walked = []
+
+    def counting(*args, **kwargs):
+        for emb in embeddings(*args, **kwargs):
+            walked.append(emb)
+            yield emb
+
+    monkeypatch.setattr(solver, "embeddings", counting)
+    k8 = SimpleGraph.complete(8)
+    # |Aut(F)| embeddings per copy without the symmetry break
+    for (pattern, automorphisms) in ((C5, 10), (K4, 24), (PAW, 2), (TREE, 1)):
+        walked.clear()
+        copies = enumerate_copies(8, pattern)
+        assert len(walked) == len(copies), pattern
+        assert len(list(embeddings(pattern, k8.adjacency()))) == len(copies) * automorphisms
+        assert copies == _naive_copies(pattern, k8), pattern
+    # isolated vertices: the walk covers the pattern without them
+    for pattern in (K3_PLUS_VERTEX, VERTEX_PLUS_K3, TWO_K2, THREE_K2):
+        walked.clear()
+        copies = enumerate_copies(8, pattern)
+        assert len(walked) == len(copies), pattern
+        assert copies == _naive_copies(pattern, k8), pattern
 
 
 def test_enumerate_copies_copy_cap():
@@ -75,7 +106,8 @@ def test_enumerate_copies_copy_cap():
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 8),
-       pattern=st.sampled_from([K3, P3, C4, C5, K4, K3_PLUS_VERTEX, TWO_K2, THREE_K2]),
+       pattern=st.sampled_from([K3, P3, C4, C5, K4, K3_PLUS_VERTEX, VERTEX_PLUS_K3,
+                                TWO_K2, THREE_K2, TREE]),
        data=st.data())
 def test_enumerate_copies_matches_naive_enumeration(n, pattern, data):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
