@@ -312,8 +312,8 @@ def embeddings(small: SimpleGraph, host_adj: list[set[int]],
     The host is given by its adjacency sets.  With ``color`` (host edge
     (u, v), u < v, to color) only maps whose edges get pairwise distinct
     colors are yielded.  ``pin=((a, b), (u, v))`` yields only the maps with
-    a -> u and b -> v.  Each pair (a, b) in ``less`` yields only the maps
-    with a below b (see lex_min_conditions).  Small-graph vertices are
+    a -> u and b -> v.  Each pair (a, b) in ``less`` keeps only the maps
+    that send a below b (see lex_min_conditions).  Small-graph vertices are
     placed in the order of ``placement``, a pinned a and b first, and
     candidates are tried in ascending order, so maps come out in a fixed
     order.  GuardError when the host's bitmask rows would need more than

@@ -54,13 +54,6 @@ class FractionalPackingProblem:
     def value(self) -> Fraction:
         return sum(self.weights, Fraction(0))
 
-    def edge_loads(self) -> dict[tuple[int, int], Fraction]:
-        loads: dict[tuple[int, int], Fraction] = {}
-        for emb, wt in zip(self.copy_list, self.weights):
-            for e in embedded_edges(self.pattern, emb):
-                loads[e] = loads.get(e, Fraction(0)) + wt
-        return loads
-
     def validate(self) -> None:
         """Copies inside the host and primal feasibility; with duals, also
         the optimality certificate.

@@ -89,7 +89,6 @@ def test_no_copies():
     assert value == Fraction(0)
     assert problem.copy_list == () and problem.weights == ()
     assert problem.duals == (Fraction(0),) * C5.edge_count()
-    assert problem.edge_loads() == {}
     problem.validate()
 
 

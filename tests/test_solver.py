@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from rainbowpack import (GuardError, SearchConfig, SimpleGraph,
                          enumerate_copies, find_rainbow,
                          max_rainbow_free_packing, oracle_max_packing, solver)
-from rainbowpack.graphs import canonical_json, embedded_edges, embeddings
+from rainbowpack.graphs import canonical_json, embeddings
 from rainbowpack.solver import _naive_copies, _naive_rainbow_scan
 
 K3 = SimpleGraph.complete(3)
