@@ -10,8 +10,13 @@ The solver is a revised simplex in fraction-free integer arithmetic
 (Edmonds 1967, Bareiss 1968).  It stores d·B⁻¹ and the scaled right side
 and duals, d = det B, about m² integers for m host edges whatever the copy
 count, and sums a copy's column from them only when it is needed.  Each
-pivot divides exactly.  Bland's rule makes the pivots a dense tableau would
-make (see ``_simplex_max``), so it terminates and the optimum is exact.
+pivot divides exactly.  The entering column is the most negative reduced
+cost (Dantzig), except right after a degenerate pivot, where it is the
+lowest improving index (Bland 1977) until a pivot raises the objective
+again; a cycle would consist of Bland pivots only, so the method terminates
+(see ``_simplex_max``).  It makes the pivots a dense tableau would make
+under the same rule, and the optimum is exact.  The work, pivots times the
+(m + 1)² stored integers, is bounded like the copy and edge counts.
 
 The optimal basis also yields dual prices, one per host edge.  They are
 a fractional cover: non-negative, at least 1 in total on every copy, and
@@ -28,10 +33,15 @@ from operator import itemgetter
 
 from .errors import GuardError
 from .graphs import SimpleGraph, embedded_edges
-from .solver import enumerate_copies
+from .solver import enumerate_copy_edges
 
 _LP_COPY_LIMIT = 2000
 _LP_EDGE_LIMIT = 2000
+# pivots times the (m + 1)² integers each pivot rewrites, m host edges.
+# C5[4]/C5 needs 1.4*10^6 (219 pivots on 80 edges), K9/C5 10^5 and every
+# test and benchmark LP less; 333 disjoint K4 with pattern K3 would need about
+# 5*10^9 (1,332 pivots on 1,998 edges, 82 s) and stop at pivot 26.
+_LP_WORK_LIMIT = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -119,17 +129,31 @@ def _pivot(row: list[int], prow: list[int], f: int, p: int, d: int) -> list[int]
 def _simplex_max(copies: list[list[int]], m: int):
     """Maximize the total weight of the copies, copy j covering the rows
     ``copies[j]``, with each of the m rows carrying at most 1; returns
-    (value, x, y), y the dual prices of the rows.
+    (value, x, y, pivots), y the dual prices of the rows.
 
     Stored: ``rows[r] = [d·B⁻¹ row r | (d·B⁻¹·1)[r]]`` and ``obj = [d·y |
     d·nu]``, updated by the Bareiss step.  Priced when needed: copy j has
     reduced cost Σ_{e ∈ copy j} d·y_e − d and column Σ_{e ∈ copy j} column
     e of d·B⁻¹; the slack of row i has d·y_i and column i of d·B⁻¹.  These
     are the cells of the dense tableau [A | I | 1], each d times its true
-    value, so Bland's rule (lowest entering index, copies before slacks,
-    ratio ties to the lowest basic index) pivots as the dense simplex does.
+    value, so copies and slacks compare directly and the pivots are the
+    ones the dense simplex makes under the same rule.
+
+    Entering column: after a non-degenerate pivot (and at the start),
+    Dantzig's rule, the most negative reduced cost, ties to the lowest
+    index with copies before slacks.  After a degenerate pivot, one whose
+    leaving row has right side 0, Bland's rule, the lowest index with a
+    negative reduced cost, until the next non-degenerate pivot.  The ratio
+    test always breaks ties to the lowest basic index.
+
+    Termination: a non-degenerate pivot raises the objective, so a cycle of
+    bases consists of degenerate pivots only.  From its second pass on,
+    each of those pivots follows a degenerate pivot and so is a Bland
+    pivot, and Bland's rule (Bland 1977) never cycles.
+
     The all-slack start is feasible as the right side is all ones, and d
-    stays positive because every pivot is.
+    stays positive because every pivot is.  GuardError once pivots times
+    the (m + 1)² stored cells exceed _LP_WORK_LIMIT.
     """
     n = len(copies)
     # an itemgetter of one index returns that item, of a slice a list
@@ -139,17 +163,25 @@ def _simplex_max(copies: list[list[int]], m: int):
     obj = [0] * (m + 1)
     basis = list(range(n, n + m))
     d = 1
+    bland = False
+    pivots, cells = 0, (m + 1) ** 2
 
     while True:
-        enter = next((j for j, take in enumerate(takes) if sum(take(obj)) < d), None)
-        if enter is not None:
+        if bland:  # the first improving column, copies before slacks
+            enter = next((j for j, take in enumerate(takes) if sum(take(obj)) < d), None)
+            if enter is None:
+                enter = next((n + i for i in range(m) if obj[i] < 0), None)
+        else:  # the most improving column, the first one on ties
+            costs = [sum(take(obj)) - d for take in takes] + obj[:m]
+            low = min(costs, default=0)
+            enter = costs.index(low) if low < 0 else None
+        if enter is None:
+            break
+        if enter < n:
             take = takes[enter]
             col, f = [sum(take(row)) for row in rows], sum(take(obj)) - d
         else:
-            slack = next((i for i in range(m) if obj[i] < 0), None)
-            if slack is None:
-                break
-            enter, col, f = n + slack, [row[slack] for row in rows], obj[slack]
+            col, f = [row[enter - n] for row in rows], obj[enter - n]
         leave = None
         for r, coef in enumerate(col):
             # rhs_r / coef against rhs_leave / coef_leave, cross-multiplied;
@@ -159,7 +191,12 @@ def _simplex_max(copies: list[list[int]], m: int):
                 leave = r
         if leave is None:
             raise ArithmeticError("LP claims unbounded, model must be wrong")
+        pivots += 1
+        if pivots * cells > _LP_WORK_LIMIT:
+            raise GuardError(f"lp guard: pivot {pivots} on {m} edges exceeds "
+                             f"{_LP_WORK_LIMIT} cells of simplex work")
         prow, p = rows[leave], col[leave]
+        bland = prow[-1] == 0
         for r in range(m):
             if r != leave:
                 rows[r] = _pivot(rows[r], prow, col[r], p, d)
@@ -170,7 +207,7 @@ def _simplex_max(copies: list[list[int]], m: int):
     rhs = {j: row[-1] for j, row in zip(basis, rows)}
     x = [Fraction(rhs.get(j, 0), d) for j in range(n)]
     y = [Fraction(obj[i], d) for i in range(m)]
-    return (Fraction(obj[-1], d), x, y)
+    return (Fraction(obj[-1], d), x, y, pivots)
 
 
 def lp_fractional_packing(host: SimpleGraph, pattern: SimpleGraph
@@ -184,16 +221,17 @@ def lp_fractional_packing(host: SimpleGraph, pattern: SimpleGraph
         raise ValueError("pattern needs at least one edge")
     if host.edge_count() > _LP_EDGE_LIMIT:
         raise GuardError(f"lp guard: {host.edge_count()} edges exceed {_LP_EDGE_LIMIT}")
-    copies = enumerate_copies(host.n, pattern, host, max_copies=_LP_COPY_LIMIT)
+    found = enumerate_copy_edges(host.n, pattern, host, max_copies=_LP_COPY_LIMIT)
     host_edges = host.sorted_edges()
-    if not copies:
+    if not found:
         zeros = (Fraction(0),) * len(host_edges)
         problem = FractionalPackingProblem(host, pattern, (), (), zeros)
         return (Fraction(0), problem)
 
     edge_row = {e: i for i, e in enumerate(host_edges)}
-    copy_rows = [[edge_row[e] for e in embedded_edges(pattern, emb)] for emb in copies]
-    value, x, y = _simplex_max(copy_rows, len(host_edges))
-    problem = FractionalPackingProblem(host, pattern, tuple(copies), tuple(x), tuple(y))
+    copy_rows = [[edge_row[e] for e in edges] for _, edges in found]
+    value, x, y, _ = _simplex_max(copy_rows, len(host_edges))
+    copies = tuple(emb for emb, _ in found)
+    problem = FractionalPackingProblem(host, pattern, copies, tuple(x), tuple(y))
     problem.validate()
     return (value, problem)

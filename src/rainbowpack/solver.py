@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import GuardError
 from .graphs import (ColoredPacking, SimpleGraph, _norm_edge,
@@ -48,14 +49,23 @@ _EMBEDDING_LIMIT = 1_000_000
 def enumerate_copies(n: int, pattern: SimpleGraph,
                      host: SimpleGraph | None = None,
                      max_copies: int | None = None) -> list[tuple[int, ...]]:
-    """All copies of the pattern in the host (K_n when host is None).
+    """The copies of enumerate_copy_edges, without their edge lists."""
+    return [emb for emb, _ in enumerate_copy_edges(n, pattern, host, max_copies)]
+
+
+def enumerate_copy_edges(n: int, pattern: SimpleGraph,
+                         host: SimpleGraph | None = None,
+                         max_copies: int | None = None
+                         ) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]]:
+    """All copies of the pattern in the host (K_n when host is None), each
+    with its sorted host edges.
 
     One embedding per copy (per distinct edge set): the lexicographically
     smallest vertex tuple realizing it.  The kernel walks only those,
     through lex_min_conditions of the pattern without its isolated
     vertices; Aut(F) does not reach the isolated vertices, as a copy is its
     edge set, so they take the smallest host vertices outside the copy, in
-    ascending order.  Copies are sorted by their sorted edge tuple, so the
+    ascending order.  Copies are sorted by their sorted edge list, so the
     order is canonical.  GuardError as soon as more than max_copies (at
     most _EMBEDDING_LIMIT) copies turn up, before the rest are enumerated.
     """
@@ -82,7 +92,7 @@ def enumerate_copies(n: int, pattern: SimpleGraph,
     if core is not pattern:
         isolated = [v for v in range(pattern.n) if not deg[v]]
         copies = [_with_isolated(emb, spots, isolated, n) for emb in copies]
-    return sorted(copies, key=lambda emb: embedded_edges(pattern, emb))
+    return sorted([(emb, embedded_edges(pattern, emb)) for emb in copies], key=itemgetter(1))
 
 
 def _with_isolated(emb: tuple[int, ...], spots: list[int], isolated: list[int],
@@ -307,10 +317,11 @@ def max_rainbow_free_packing(cfg: SearchConfig) -> SearchResult:
     if cfg.forbidden is not None:
         check_forbidden(cfg.forbidden)
     host = cfg.host if cfg.host is not None else SimpleGraph.complete(cfg.n)
-    copies = enumerate_copies(cfg.n, cfg.pattern, host)
+    found = enumerate_copy_edges(cfg.n, cfg.pattern, host)
+    copies = [emb for emb, _ in found]
+    copy_edges = [edges for _, edges in found]
     host_edges = host.sorted_edges()
     edge_index = {e: i for i, e in enumerate(host_edges)}
-    copy_edges = [embedded_edges(cfg.pattern, emb) for emb in copies]
     edge_ids = [[edge_index[e] for e in edges] for edges in copy_edges]
 
     symmetric_ground = cfg.host is None and cfg.symmetry_breaking

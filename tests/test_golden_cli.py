@@ -63,7 +63,7 @@ CASES = {
         "8f1fd672a8f819db0c8962dda10339b2e1fae408f029a9e29b9fadce71734369"),
     "lp-k6-c5": (
         [["lp", "--host", "k6", "--pattern", "c5"]], 0,
-        "57dc17b6ebdffb643fbde725448ea8e3df0e8a8f1aeda0fe0707bccc03dd8c4a"),
+        "927c8e9d5e60c5cf58afbcaaaf0cef4446c35cc275035f8a7d2b36555ae474f6"),
     "gadget-100": (
         [["gadget", "--n", "100"]], 0,
         "ba8661d910a47d5a4f8f987dec9c1e4a885dff5cd57c76c8fb9ad2d15b2f221e"),

@@ -14,6 +14,7 @@ from rainbowpack import (FractionalPackingProblem, GuardError, SearchConfig,
                          SimpleGraph, blow_up, BlowupSpec, c5_blowup_packing,
                          lp_fractional_packing, max_rainbow_free_packing)
 from rainbowpack.graphs import canonical_json
+from rainbowpack import lp
 from rainbowpack.lp import _simplex_max
 
 K3 = SimpleGraph.complete(3)
@@ -286,23 +287,35 @@ def test_lp_certificate_on_random_hosts(n, pattern, data):
     assert sum(problem.weights) == sum(problem.duals) == value
 
 
-def _dense_bland(a: list[list[int]]):
+def _dense_oracle(a: list[list[int]]):
     """Maximize sum(x) subject to a.x <= 1, x >= 0 on a dense Fraction
-    tableau: the textbook simplex with Bland's rule (structural columns
-    before slacks, lowest entering index, ratio ties to the lowest basic
-    index).  Returns (value, x, y), y the dual prices of the rows."""
+    tableau: the textbook simplex with Dantzig's rule (most negative reduced
+    cost, lowest index on ties, structural columns before slacks), switching
+    to Bland's rule (lowest index with a negative reduced cost) after a
+    degenerate pivot until the next non-degenerate one; ratio ties go to
+    the lowest basic index.  Returns ((value, x, y), pivots, overridden):
+    y the dual prices of the rows, overridden the Bland pivots whose
+    entering column is not the one Dantzig's rule would take."""
     m, nvars = len(a), len(a[0]) if a else 0
     tab = [[Fraction(v) for v in a[i]] + [Fraction(int(i == k)) for k in range(m)]
            + [Fraction(1)] for i in range(m)]
     obj = [Fraction(-1)] * nvars + [Fraction(0)] * (m + 1)
     basis = list(range(nvars, nvars + m))
+    bland, pivots, overridden = False, 0, 0
     while True:
-        enter = next((j for j in range(nvars + m) if obj[j] < 0), None)
-        if enter is None:
+        costs = obj[:nvars + m]
+        low = min(costs, default=0)
+        if low >= 0:
             break
+        enter = costs.index(low)
+        if bland:
+            first = next(j for j, c in enumerate(costs) if c < 0)
+            overridden += first != enter
+            enter = first
         ratios = [(tab[r][-1] / tab[r][enter], basis[r], r)
                   for r in range(m) if tab[r][enter] > 0]
         _, _, leave = min(ratios)
+        bland = tab[leave][-1] == 0
         piv = tab[leave][enter]
         tab[leave] = [v / piv for v in tab[leave]]
         for row in tab[:leave] + tab[leave + 1:] + [obj]:
@@ -310,11 +323,22 @@ def _dense_bland(a: list[list[int]]):
             if f:
                 row[:] = [v - f * w for v, w in zip(row, tab[leave])]
         basis[leave] = enter
+        pivots += 1
     x = [Fraction(0)] * nvars
     for r, b in enumerate(basis):
         if b < nvars:
             x[b] = tab[r][-1]
-    return obj[-1], x, obj[nvars:nvars + m]
+    return (obj[-1], x, obj[nvars:nvars + m]), pivots, overridden
+
+
+def _lp_rows(host: SimpleGraph, pattern: SimpleGraph):
+    """The LP of lp_fractional_packing as the simplex gets it: each copy's
+    host-edge row indices, and the dense constraint matrix."""
+    edges = host.sorted_edges()
+    copies = [[tuple(sorted((emb[u], emb[v]))) for (u, v) in pattern.edges]
+              for emb in lp_fractional_packing(host, pattern)[1].copy_list]
+    a = [[int(e in copy) for copy in copies] for e in edges]
+    return [[edges.index(e) for e in copy] for copy in copies], a
 
 
 @st.composite
@@ -326,7 +350,7 @@ def _random_hosts(draw):
 
 
 # complete hosts are the most degenerate LPs, with ties in every ratio test;
-# they stop at K6, where the Fraction oracle needs about 0.6 s for C5.  The
+# they stop at K6, where the Fraction oracle needs about 0.2 s for C5.  The
 # two pinned hosts move the vertex if ratio ties ignore the basic index (K6/C4)
 # or if slacks are priced before copies (K6/K3).
 @settings(max_examples=40, deadline=None)
@@ -335,34 +359,65 @@ def _random_hosts(draw):
 @given(host=st.one_of(_random_hosts(), st.integers(3, 6).map(SimpleGraph.complete)),
        pattern=st.sampled_from([K3, C4, C5]))
 def test_simplex_matches_dense_bland_oracle(host, pattern):
-    edges = host.sorted_edges()
-    copies = [[tuple(sorted((emb[u], emb[v]))) for (u, v) in pattern.edges]
-              for emb in lp_fractional_packing(host, pattern)[1].copy_list]
-    a = [[int(e in copy) for copy in copies] for e in edges]
-    want = _dense_bland(a)
-    rows = [[edges.index(e) for e in copy] for copy in copies]
-    value, x, y = _simplex_max(rows, len(edges))
+    rows, a = _lp_rows(host, pattern)
+    want, pivots, _ = _dense_oracle(a)
     # the same vertex and the same duals, not only the same optimum
-    assert (value, x, y) == want
+    assert _simplex_max(rows, len(a)) == (*want, pivots)
 
 
-# sha256 of the canonical (nuStar, weights) payload, recorded from the
-# Fraction-tableau simplex that preceded the integer one.  Bland's rule fixes
-# the pivot sequence, so any change of pivot rule that moves the returned
-# vertex shows up here.
+@pytest.mark.parametrize("n, pattern", [(5, C4), (5, C5), (6, K3)],
+                         ids=["k5-c4", "k5-c5", "k6-k3"])
+def test_degenerate_start_switches_to_bland(n, pattern):
+    # the first pivot takes a copy into the basis, and its other edges keep
+    # their slacks at right side 0, so on K_n degenerate pivots follow, and
+    # at some of them Bland's rule enters a column that Dantzig's would not
+    rows, a = _lp_rows(SimpleGraph.complete(n), pattern)
+    want, pivots, overridden = _dense_oracle(a)
+    assert overridden > 0
+    assert _simplex_max(rows, len(a)) == (*want, pivots)
+
+
+def test_pivot_counts():
+    # Bland's rule alone took 3,652 pivots on K9/C5 and 342 on C5[3]/C5
+    for host, pivots in ((SimpleGraph.complete(9), 71), (_blowup(C5, 3), 107)):
+        rows, a = _lp_rows(host, C5)
+        assert _simplex_max(rows, len(a))[3] == pivots
+
+
+def test_simplex_work_guard(monkeypatch):
+    # 150 disjoint K4 with pattern K3: 600 copies on 900 edges, each pivot
+    # rewriting 901² integers; the simplex is stopped long before 600 pivots
+    host = SimpleGraph.from_edges(600, [(4 * i + u, 4 * i + v) for i in range(150)
+                                        for u, v in itertools.combinations(range(4), 2)])
+    started = time.perf_counter()
+    with pytest.raises(GuardError, match="cells of simplex work"):
+        lp_fractional_packing(host, K3)
+    assert time.perf_counter() - started < 10.0
+    # K9/C5 runs 71 pivots on 36 edges: admitted at 71 · 37² cells, not at one fewer pivot
+    monkeypatch.setattr(lp, "_LP_WORK_LIMIT", 71 * 37 ** 2)
+    assert lp_fractional_packing(SimpleGraph.complete(9), C5)[0] == Fraction(36, 5)
+    monkeypatch.setattr(lp, "_LP_WORK_LIMIT", 71 * 37 ** 2 - 1)
+    with pytest.raises(GuardError, match="pivot 71 on 36 edges"):
+        lp_fractional_packing(SimpleGraph.complete(9), C5)
+
+
+# sha256 of the canonical (nuStar, weights) payload, recorded from
+# _dense_oracle, which also gave the same duals.  The pivot rule fixes the
+# pivot sequence, so any change of rule that moves the returned vertex shows
+# up here.  Petersen/C5 is the one row that Bland's rule alone also gave.
 GOLDEN_LP = {
     "c5[3]/c5": (_blowup(C5, 3), C5,
-                 "292d834f57bed08aebff6b467f099c55725e4ccd1c38210845129c437b071a8d"),
+                 "675bba36d5b17f12540a07a4c7e3abe144d1a89c8f8fbe0a713c6cbba95919b6"),
     "k3[3]/c4": (_blowup(K3, 3), C4,
-                 "4fdd5f8443b1e8b31f40dd2bdb6705abc8f80a4559ecb96950c41199ba8a0376"),
+                 "0a16b9b66e9bd6554c1c433090e8d20e9ec49a1df6bffa87b1ce45dbba4759b7"),
     "k4[2]/c4": (_blowup(K4, 2), C4,
-                 "8a89387be27c00e78bec9a26a0fa20c87cdc9005a609a98a490f24357674305e"),
+                 "81d4514bba89203dbb2f43747152a01d789264ed863b1b3514b9b204e2cdf293"),
     "petersen/c5": (SimpleGraph.petersen(), C5,
                     "521e4685c735b8a9ba96cc99553814e55a466ef7162a9a0d64b5b5f36f58dc1e"),
-    # 1,512 columns, nu* = 36/5; recorded from the dense integer tableau,
-    # which took about 27 s on it on a 2-vCPU VM
+    # 1,512 columns, nu* = 36/5, 71 pivots; _dense_oracle takes about 21 s
+    # on it on a 2-vCPU VM
     "k9/c5": (SimpleGraph.complete(9), C5,
-              "61575167563502220cad0465c67993bfc709f051dfdd5017b3d5cab3e688cb76"),
+              "35cfd508dc7dfb10d3dd953c6a114901fbc91f98d440b67cff7f8c845db01efa"),
 }
 
 
