@@ -350,7 +350,7 @@ def _random_hosts(draw):
 
 
 # complete hosts are the most degenerate LPs, with ties in every ratio test;
-# they stop at K6, where the Fraction oracle needs about 0.2 s for C5.  The
+# they stop at K6, where the Fraction oracle needs about 0.1 s for C5.  The
 # two pinned hosts move the vertex if ratio ties ignore the basic index (K6/C4)
 # or if slacks are priced before copies (K6/K3).
 @settings(max_examples=40, deadline=None)
@@ -404,7 +404,7 @@ def test_simplex_work_guard(monkeypatch):
 # sha256 of the canonical (nuStar, weights) payload, recorded from
 # _dense_oracle, which also gave the same duals.  The pivot rule fixes the
 # pivot sequence, so any change of rule that moves the returned vertex shows
-# up here.  Petersen/C5 is the one row that Bland's rule alone also gave.
+# up here.
 GOLDEN_LP = {
     "c5[3]/c5": (_blowup(C5, 3), C5,
                  "675bba36d5b17f12540a07a4c7e3abe144d1a89c8f8fbe0a713c6cbba95919b6"),
