@@ -15,8 +15,8 @@ cost (Dantzig), except right after a degenerate pivot, where it is the
 lowest improving index (Bland 1977) until a pivot raises the objective
 again; a cycle would consist of Bland pivots only, so the method terminates
 (see ``_simplex_max``).  It makes the pivots a dense tableau would make
-under the same rule, and the optimum is exact.  The work, pivots times the
-(m + 1)² stored integers, is bounded like the copy and edge counts.
+under the same rule, and the optimum is exact.  The work, the stored
+integers the pivots rewrite, is bounded like the copy and edge counts.
 
 The optimal basis also yields dual prices, one per host edge.  They are
 a fractional cover: non-negative, at least 1 in total on every copy, and
@@ -37,11 +37,11 @@ from .solver import enumerate_copy_edges
 
 _LP_COPY_LIMIT = 2000
 _LP_EDGE_LIMIT = 2000
-# pivots times the (m + 1)² integers each pivot rewrites, m host edges.
-# C5[4]/C5 needs 1.4*10^6 (219 pivots on 80 edges), K9/C5 10^5 and every
-# test and benchmark LP less; 333 disjoint K4 with pattern K3 would need about
-# 5*10^9 (1,332 pivots on 1,998 edges, 82 s) and stop at pivot 26.
-_LP_WORK_LIMIT = 10 ** 8
+# the stored integers the pivots rewrite, m + 1 per row, summed over the
+# pivots.  C5[4]/C5 needs about 10^6, K9/C5 83,472 and every test and
+# benchmark LP at most 1.4*10^6; 333 disjoint K4 with pattern K3, whose det B
+# grows with every block, took 82 s in all and stops at pivot 31, about 2 s in.
+_LP_WORK_LIMIT = 3 * 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,9 @@ def _simplex_max(copies: list[list[int]], m: int):
     pivot, and Bland's rule (Bland 1977) never cycles.
 
     The all-slack start is feasible as the right side is all ones, and d
-    stays positive because every pivot is.  GuardError once pivots times
-    the (m + 1)² stored cells exceed _LP_WORK_LIMIT.
+    stays positive because every pivot is.  GuardError once the cells the
+    pivots rewrite exceed _LP_WORK_LIMIT: all m rows but the leaving one and
+    obj when d changes, else only the rows whose entering coefficient is not 0.
     """
     n = len(copies)
     # an itemgetter of one index returns that item, of a slice a list
@@ -164,24 +165,22 @@ def _simplex_max(copies: list[list[int]], m: int):
     basis = list(range(n, n + m))
     d = 1
     bland = False
-    pivots, cells = 0, (m + 1) ** 2
+    pivots = cells = 0
 
     while True:
-        if bland:  # the first improving column, copies before slacks
-            enter = next((j for j, take in enumerate(takes) if sum(take(obj)) < d), None)
-            if enter is None:
-                enter = next((n + i for i in range(m) if obj[i] < 0), None)
-        else:  # the most improving column, the first one on ties
-            costs = [sum(take(obj)) - d for take in takes] + obj[:m]
-            low = min(costs, default=0)
-            enter = costs.index(low) if low < 0 else None
-        if enter is None:
+        costs = [sum(take(obj)) - d for take in takes] + obj[:m]
+        low = min(costs, default=0)
+        if low >= 0:
             break
+        # Bland: the first improving column; Dantzig: the most improving one,
+        # the first on ties; copies before slacks either way
+        enter = next(j for j, c in enumerate(costs) if c < 0) if bland else costs.index(low)
         if enter < n:
             take = takes[enter]
-            col, f = [sum(take(row)) for row in rows], sum(take(obj)) - d
+            col = [sum(take(row)) for row in rows]
         else:
-            col, f = [row[enter - n] for row in rows], obj[enter - n]
+            col = [row[enter - n] for row in rows]
+        f = costs[enter]
         leave = None
         for r, coef in enumerate(col):
             # rhs_r / coef against rhs_leave / coef_leave, cross-multiplied;
@@ -191,11 +190,15 @@ def _simplex_max(copies: list[list[int]], m: int):
                 leave = r
         if leave is None:
             raise ArithmeticError("LP claims unbounded, model must be wrong")
+        prow, p = rows[leave], col[leave]
         pivots += 1
-        if pivots * cells > _LP_WORK_LIMIT:
+        # _pivot rewrites every row but the leaving one when d changes, else
+        # the rows with col[r] != 0; obj always (f < 0), standing in for the
+        # leaving row in the count
+        cells += (m if p != d else sum(1 for c in col if c)) * (m + 1)
+        if cells > _LP_WORK_LIMIT:
             raise GuardError(f"lp guard: pivot {pivots} on {m} edges exceeds "
                              f"{_LP_WORK_LIMIT} cells of simplex work")
-        prow, p = rows[leave], col[leave]
         bland = prow[-1] == 0
         for r in range(m):
             if r != leave:

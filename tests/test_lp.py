@@ -385,18 +385,26 @@ def test_pivot_counts():
 
 
 def test_simplex_work_guard(monkeypatch):
-    # 150 disjoint K4 with pattern K3: 600 copies on 900 edges, each pivot
-    # rewriting 901² integers; the simplex is stopped long before 600 pivots
+    # 150 disjoint K4 with pattern K3: 600 copies on 900 edges.  det B grows
+    # block by block, and each pivot that changes it rewrites all 900 rows
     host = SimpleGraph.from_edges(600, [(4 * i + u, 4 * i + v) for i in range(150)
                                         for u, v in itertools.combinations(range(4), 2)])
-    started = time.perf_counter()
-    with pytest.raises(GuardError, match="cells of simplex work"):
+    with pytest.raises(GuardError, match="pivot 147 on 900 edges exceeds"):
         lp_fractional_packing(host, K3)
-    assert time.perf_counter() - started < 10.0
-    # K9/C5 runs 71 pivots on 36 edges: admitted at 71 · 37² cells, not at one fewer pivot
-    monkeypatch.setattr(lp, "_LP_WORK_LIMIT", 71 * 37 ** 2)
+    # 30 disjoint triangles beside a 1,909-edge path: 30 unit pivots with
+    # d = 1 that rewrite 2 rows and obj each, 180,000 cells on 2,000 rows
+    triangles = [(3 * i + u, 3 * i + v) for i in range(30) for u, v in ((0, 1), (0, 2), (1, 2))]
+    path = [(90 + i, 91 + i) for i in range(1909)]
+    sparse = SimpleGraph.from_edges(2000, triangles + path)
+    assert sparse.edge_count() == 1999
+    assert lp_fractional_packing(sparse, K3)[0] == 30
+    monkeypatch.setattr(lp, "_LP_WORK_LIMIT", 180_000 - 1)
+    with pytest.raises(GuardError, match="pivot 30 on 1999 edges"):
+        lp_fractional_packing(sparse, K3)
+    # K9/C5 runs 71 pivots on 36 edges: admitted at its 83,472 cells, not at one fewer
+    monkeypatch.setattr(lp, "_LP_WORK_LIMIT", 83_472)
     assert lp_fractional_packing(SimpleGraph.complete(9), C5)[0] == Fraction(36, 5)
-    monkeypatch.setattr(lp, "_LP_WORK_LIMIT", 71 * 37 ** 2 - 1)
+    monkeypatch.setattr(lp, "_LP_WORK_LIMIT", 83_472 - 1)
     with pytest.raises(GuardError, match="pivot 71 on 36 edges"):
         lp_fractional_packing(SimpleGraph.complete(9), C5)
 
