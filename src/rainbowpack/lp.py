@@ -38,9 +38,10 @@ from .solver import enumerate_copy_edges
 _LP_COPY_LIMIT = 2000
 _LP_EDGE_LIMIT = 2000
 # the stored integers the pivots rewrite, m + 1 per row, summed over the
-# pivots.  C5[4]/C5 needs about 10^6, K9/C5 83,472 and every test and
-# benchmark LP at most 1.4*10^6; 333 disjoint K4 with pattern K3, whose det B
-# grows with every block, took 82 s in all and stops at pivot 31, about 2 s in.
+# pivots.  C5[4]/C5, the largest LP kept on purpose, needs 971,514, K9/C5
+# 83,472 and every lp benchmark LP at most 164,496; 333 disjoint K4 with
+# pattern K3, whose det B grows with every block, took 82 s in all and stops
+# at pivot 31, about 2 s in.
 _LP_WORK_LIMIT = 3 * 10 ** 7
 
 
@@ -168,19 +169,24 @@ def _simplex_max(copies: list[list[int]], m: int):
     pivots = cells = 0
 
     while True:
-        costs = [sum(take(obj)) - d for take in takes] + obj[:m]
-        low = min(costs, default=0)
-        if low >= 0:
+        # Bland's scan stops at the first improving column; pricing them all
+        # on every pivot cost about a tenth more simplex time on the lp
+        # benchmark's LPs
+        if bland:  # the first improving column, copies before slacks
+            enter = next((j for j, take in enumerate(takes) if sum(take(obj)) < d), None)
+            if enter is None:
+                enter = next((n + i for i in range(m) if obj[i] < 0), None)
+        else:  # the most improving column, the first one on ties
+            costs = [sum(take(obj)) - d for take in takes] + obj[:m]
+            low = min(costs, default=0)
+            enter = costs.index(low) if low < 0 else None
+        if enter is None:
             break
-        # Bland: the first improving column; Dantzig: the most improving one,
-        # the first on ties; copies before slacks either way
-        enter = next(j for j, c in enumerate(costs) if c < 0) if bland else costs.index(low)
         if enter < n:
             take = takes[enter]
-            col = [sum(take(row)) for row in rows]
+            col, f = [sum(take(row)) for row in rows], sum(take(obj)) - d
         else:
-            col = [row[enter - n] for row in rows]
-        f = costs[enter]
+            col, f = [row[enter - n] for row in rows], obj[enter - n]
         leave = None
         for r, coef in enumerate(col):
             # rhs_r / coef against rhs_leave / coef_leave, cross-multiplied;
