@@ -174,6 +174,26 @@ def embedded_edges(pattern: SimpleGraph, emb) -> list[tuple[int, int]]:
                    for (u, v) in pattern.edges])
 
 
+def count_triangles(n: int, edges) -> tuple[list[int], int]:
+    """Degrees and triangle count of the graph on 0..n-1 with these edges.
+
+    Each edge points toward its endpoint of larger (degree, id), so a
+    triangle is met once, at the out-edge between its two lower endpoints,
+    and no vertex has more than sqrt(2m) out-neighbors.
+    """
+    deg = [0] * n
+    for (u, v) in edges:
+        deg[u] += 1
+        deg[v] += 1
+    out: list[set[int]] = [set() for _ in range(n)]
+    for (u, v) in edges:
+        if deg[u] < deg[v] or (deg[u] == deg[v] and u < v):
+            out[u].add(v)
+        else:
+            out[v].add(u)
+    return deg, sum(len(out[u] & out[v]) for u in range(n) for v in out[u])
+
+
 def canonical_json(obj) -> str:
     """One fixed byte representation per value, for certificate diffing."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -220,6 +240,12 @@ class ColoredPacking:
     def copy_edges(self, ci: int) -> list[tuple[int, int]]:
         """Ground edges of copy ci, sorted."""
         return embedded_edges(self.pattern, self.copies[ci])
+
+    @functools.cached_property
+    def union_triangles(self) -> tuple[list[int], int]:
+        """Degrees and triangle count of the union, counted on first use
+        and kept, so find_rainbow and pentagon_audit count once."""
+        return count_triangles(self.n, self.edge_color)
 
     def to_json_dict(self) -> dict:
         return {

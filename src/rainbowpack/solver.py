@@ -7,7 +7,9 @@ the stack depth is at most the packing size plus one.  A bitmask of the
 copies that share no edge with the packing lets the walk jump to the next
 copy that fits; every copy index it passes still counts as one node.
 A copy that would create a rainbow copy of the forbidden graph G is
-rejected when it is included, and value pruning uses the free-edge budget.
+rejected when it is included.  Value pruning stops the walk once the
+incumbent reaches the cap: the copies that fit into the host's edges and,
+for F = K_t under G = K3, the clique cap of _clique_cap.
 The check looks only at the new copy's edges: every accepted include
 passed it, so the union had no rainbow G before; the new edges share one
 color, so a new rainbow G uses exactly one of them; and pinning one arc
@@ -160,7 +162,7 @@ class _SubSolver:
     packing).
     """
 
-    def __init__(self, n: int, forbidden: SimpleGraph | None, e_f: int,
+    def __init__(self, n: int, forbidden: SimpleGraph | None, cap: int,
                  copy_edges: list[list[tuple[int, int]]],
                  edge_ids: list[list[int]], total_edges: int, budget: int):
         self.n = n
@@ -169,7 +171,7 @@ class _SubSolver:
         self.edge_ids = edge_ids
         self.budget = budget
         self.n_copies = len(copy_edges)
-        self.cap = total_edges // e_f  # copies that fit into the host's edges
+        self.cap = cap  # no packing has more copies
         self.fast_triangle = forbidden is not None and forbidden.is_cycle(3)
         self.generic = forbidden is not None and not self.fast_triangle
         if self.generic:
@@ -328,13 +330,42 @@ def max_rainbow_free_packing(cfg: SearchConfig) -> SearchResult:
     firsts = ([0] if copies else []) if symmetric_ground else list(range(len(copies)))
     budget_per = max(1, cfg.node_budget // (len(firsts) + 1))
 
-    sub = _SubSolver(cfg.n, cfg.forbidden, cfg.pattern.edge_count(), copy_edges,
+    t, e_f = cfg.pattern.n, cfg.pattern.edge_count()
+    cap = len(host_edges) // e_f
+    # F = K_t and G = K3, recognized by their vertex and edge counts
+    if (t >= 3 and e_f == t * (t - 1) // 2 and copies and cfg.forbidden is not None
+            and cfg.forbidden.n == 3 and cfg.forbidden.edge_count() == 3):
+        cap = min(cap, _clique_cap(t, len({v for emb in copies for v in emb})))
+    sub = _SubSolver(cfg.n, cfg.forbidden, cap, copy_edges,
                      edge_ids, len(host_edges), budget_per)
     runs = [sub.run(first) for first in firsts]
     optimal = all(ok for (ok, _) in runs)
     nodes = sum(sub_nodes for (_, sub_nodes) in runs)
     packing = ColoredPacking(cfg.n, cfg.pattern, [copies[i] for i in sub.best_chosen])
     return SearchResult(sub.best_value, packing, optimal, nodes)
+
+
+def _clique_cap(t: int, n: int) -> int:
+    """Most copies of K_t, t >= 3, in a packing on n vertices with no
+    rainbow triangle (the Ruzsa-Szemeredi degree count).
+
+    A vertex w outside a copy C has at most one union neighbor in C: two,
+    x and y, close a triangle wxy that is rainbow unless wx and wy share a
+    copy, and that copy, a clique, would hold xy too.  So the union degrees
+    over C sum to at most t(t-1) + (n - t) = n + t(t-2).  A vertex on e(v)
+    copies has degree (t-1)e(v), so each copy has sum of e(v) over C at most
+    L = (n + t(t-2)) // (t-1), and summing over the T copies gives
+    sum of e(v)^2 <= T*L.  With sum of e(v) = tT over n vertices, the
+    balanced split has the least sum of squares, and it exceeds T*L for
+    every T past the first that fails, since it is convex in T.
+    """
+    limit = (n + t * (t - 2)) // (t - 1)
+    copies = 0
+    while True:
+        q, r = divmod(t * (copies + 1), n)
+        if r * (q + 1) ** 2 + (n - r) * q * q > (copies + 1) * limit:
+            return copies
+        copies += 1
 
 
 def _naive_copies(pattern: SimpleGraph, host: SimpleGraph) -> list[tuple[int, ...]]:

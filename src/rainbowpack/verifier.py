@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AuditError, GuardError
-from .graphs import ColoredPacking, SimpleGraph, _norm_edge, embeddings
+from .graphs import (ColoredPacking, SimpleGraph, _norm_edge, count_triangles,
+                     embeddings)
 
 
 @dataclass(frozen=True)
@@ -107,10 +108,10 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     """
     check_forbidden(forbidden)
     col = packing.edge_color
-    if _count_triangles(forbidden.n, forbidden.edges)[1] > 0:
+    if count_triangles(forbidden.n, forbidden.edges)[1] > 0:
         pattern = packing.pattern
-        if _count_triangles(packing.n, col)[1] == (
-                _count_triangles(pattern.n, pattern.edges)[1] * len(packing)):
+        if packing.union_triangles[1] == (
+                count_triangles(pattern.n, pattern.edges)[1] * len(packing)):
             return None
     if forbidden.is_cycle(3):
         return _find_rainbow_triangle(packing)
@@ -147,26 +148,6 @@ def _find_rainbow_triangle(packing: ColoredPacking):
                      ((0, 2), _norm_edge(u, z), c_uz),
                      ((1, 2), _norm_edge(v, z), c_vz)))
     return None
-
-
-def _count_triangles(n: int, edges) -> tuple[list[int], int]:
-    """Degrees and triangle count of the graph on 0..n-1 with these edges.
-
-    Each edge points toward its endpoint of larger (degree, id), so a
-    triangle is met once, at the out-edge between its two lower endpoints,
-    and no vertex has more than sqrt(2m) out-neighbors.
-    """
-    deg = [0] * n
-    for (u, v) in edges:
-        deg[u] += 1
-        deg[v] += 1
-    out: list[set[int]] = [set() for _ in range(n)]
-    for (u, v) in edges:
-        if deg[u] < deg[v] or (deg[u] == deg[v] and u < v):
-            out[u].add(v)
-        else:
-            out[v].add(u)
-    return deg, sum(len(out[u] & out[v]) for u in range(n) for v in out[u])
 
 
 @dataclass(frozen=True)
@@ -226,7 +207,7 @@ def pentagon_audit(packing: ColoredPacking) -> PentagonAudit:
 
     n, t = packing.n, len(packing)
     col = packing.edge_color
-    deg, triangles = _count_triangles(n, col)
+    deg, triangles = packing.union_triangles
     # the two ends of the cherry centred at each pattern vertex
     ends = [tuple(nb) for nb in pattern.adjacency()]
     local = [0] * t

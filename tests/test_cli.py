@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from rainbowpack import ColoredPacking, GuardError, SimpleGraph, cli, solver
+from rainbowpack import ColoredPacking, GuardError, SimpleGraph, cli, graphs, solver
 from rainbowpack.cli import main, parse_graph
+from rainbowpack.graphs import count_triangles
 
 K3 = SimpleGraph.complete(3)
 
@@ -78,6 +79,24 @@ def test_verify_attaches_pentagon_audit(capsys, tmp_path):
     assert audit["qmAmBound"] == "270/1"
     assert audit["perCopy"] == [{"lhs": 30, "rhs": 40}] * 9
     assert audit["nStarTotal"] == 0
+
+
+def test_verify_counts_a_pentagon_packings_triangles_once(capsys, tmp_path, monkeypatch):
+    # find_rainbow and pentagon_audit both need the union's triangle count;
+    # the packing keeps it, so verify counts the 35-vertex union once
+    packing_file = tmp_path / "pent.json"
+    run(capsys, ["construct", "--family", "c5blowup", "--m", "7",
+                 "--out", str(packing_file)])
+    counted = []
+
+    def counting(n, edges):
+        counted.append(n)
+        return count_triangles(n, edges)
+
+    monkeypatch.setattr(graphs, "count_triangles", counting)
+    code, out, _ = run(capsys, ["verify", "--in", str(packing_file)])
+    assert code == 0 and "audit" in json.loads(out)
+    assert counted == [35]
 
 
 def test_verify_fail_witness_and_exit_2(capsys, tmp_path):

@@ -241,22 +241,86 @@ def test_no_copies_fit():
     assert res.value == 0 and res.optimal and len(res.packing) == 0
 
 
+# the clique cap for t = 3, 4, 5 on N = t..12 vertices; it equals the
+# optimum K_t/K3 value on K_N for every N <= 10 (test_clique_cap_is_tight)
+CLIQUE_CAPS = {
+    3: [1, 1, 2, 2, 3, 4, 6, 6, 8, 9],
+    4: [1, 1, 1, 2, 2, 2, 3, 3, 4],
+    5: [1, 1, 1, 1, 2, 2, 2, 2],
+}
+
+
+def _balanced_squares(total, n):
+    # the least sum of squares of n nonnegative integers summing to total,
+    # built up one unit at a time on a smallest part
+    parts = [0] * n
+    for _ in range(total):
+        parts[parts.index(min(parts))] += 1
+    return sum(x * x for x in parts)
+
+
+@pytest.mark.parametrize("t", sorted(CLIQUE_CAPS))
+def test_clique_cap_table(t):
+    assert [solver._clique_cap(t, n) for n in range(t, 13)] == CLIQUE_CAPS[t]
+    for n in range(t, 13):
+        limit = (n + t * (t - 2)) // (t - 1)
+        passes = [_balanced_squares(t * copies, n) <= copies * limit
+                  for copies in range(n * n)]
+        # the passing counts are 0..cap, with no gap
+        assert passes.index(False) == solver._clique_cap(t, n) + 1 == sum(passes), (t, n)
+
+
+def test_clique_cap_is_tight():
+    for t, caps in CLIQUE_CAPS.items():
+        for n in range(t, 11):
+            res = max_rainbow_free_packing(
+                SearchConfig(n=n, pattern=SimpleGraph.complete(t), forbidden=K3))
+            assert res.optimal and res.value == caps[n - t], (t, n)
+
+
+def test_clique_cap_proves_k3_optima_at_the_root():
+    # without the cap, n = 9 took 85,804 nodes and n = 10 took 2,082,057
+    for n, nodes in ((9, 1171), (10, 14906)):
+        res = max_rainbow_free_packing(SearchConfig(n=n, pattern=K3, forbidden=K3))
+        assert (res.value, res.optimal, res.nodes) == (6, True, nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 8), pattern=st.sampled_from([K3, K4]), data=st.data())
+def test_clique_cap_keeps_values_and_witnesses(n, pattern, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    host = SimpleGraph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+    cfg = SearchConfig(n=n, pattern=pattern, forbidden=K3, host=host, node_budget=20_000)
+    capped = max_rainbow_free_packing(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_clique_cap", lambda t, n: n * n)
+        uncapped = max_rainbow_free_packing(cfg)
+    assert capped.value == uncapped.value
+    assert capped.nodes <= uncapped.nodes
+    if capped.optimal and uncapped.optimal:
+        assert _fingerprint(capped)[3] == _fingerprint(uncapped)[3]
+    assert not _naive_rainbow_scan(n, capped.packing.edge_color, K3)
+
+
 # (value, optimal, nodes, sha256 of the packing JSON).  Nodes count every
 # copy index the include/exclude walk passes; rows with several subproblems
 # (symmetry off or an explicit host) prune against one shared incumbent.
 # The budget-cut rows stop inside a run of clashing copies, so they pin the
-# bulk node count and the position of the cut exactly.
+# bulk node count and the position of the cut exactly.  The K3/K3 and K4/K3
+# rows end where the incumbent reaches the clique cap, the K3/K3 n = 8 rows
+# and the _HOST8 row well inside their budgets.
 _HOST8 = SimpleGraph.from_edges(
     8, [(u, v) for u in range(8) for v in range(u + 1, 8) if (5 * u + 3 * v) % 7])
 GOLDEN_SOLVES = [
     (dict(n=8, pattern=K3, forbidden=K3, node_budget=500),
-     (4, False, 251, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
+     (4, True, 166, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
     (dict(n=8, pattern=K3, forbidden=K3, node_budget=2000),
-     (4, False, 1001, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
+     (4, True, 166, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
     (dict(n=7, pattern=K3, forbidden=K3),
-     (3, True, 660, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
+     (3, True, 18, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
     (dict(n=7, pattern=K3, forbidden=K3, symmetry_breaking=False),
-     (3, True, 10005, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
+     (3, True, 86, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
     (dict(n=7, pattern=C5, forbidden=K3, node_budget=3000, symmetry_breaking=False),
      (2, False, 2974, "6afe7c74023be03485d493cf6bbcd0819a46e1bdf40c720f1c1ed3f9e6a64cc7")),
     (dict(n=8, pattern=C5, forbidden=K3),
@@ -274,13 +338,13 @@ GOLDEN_SOLVES = [
     (dict(n=8, pattern=K3, forbidden=None, node_budget=1000),
      (8, False, 501, "86cbc5bbb57f6a9d63e46cd3f1865ba264fe185bccb933e7ec6c903dbd3f9294")),
     (dict(n=7, pattern=K4, forbidden=K3),
-     (2, True, 59, "388de8ac22b5494c75dfada1f56e88a222e17d1fb18168ed99d2f4737f17e90e")),
+     (2, True, 22, "388de8ac22b5494c75dfada1f56e88a222e17d1fb18168ed99d2f4737f17e90e")),
     (dict(n=7, pattern=C4, forbidden=K3),
      (2, True, 1547, "f258a0f60e824ed114dbeef3a1010e90a25e4286ecdd70408bb9dafbbd0761ad")),
     (dict(n=10, pattern=C5, forbidden=K3, host=SimpleGraph.petersen()),
      (2, True, 101, "fc9b351bceff287fb62c78d4c230f7d9a5f542afb61ad7cb651464161c2f8c2a")),
     (dict(n=8, pattern=K3, forbidden=K3, host=_HOST8, node_budget=4000),
-     (4, False, 2517, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
+     (4, True, 116, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
 ]
 
 
