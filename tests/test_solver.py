@@ -278,13 +278,6 @@ def test_clique_cap_is_tight():
             assert res.optimal and res.value == caps[n - t], (t, n)
 
 
-def test_clique_cap_proves_k3_optima_at_the_root():
-    # without the cap, n = 9 took 85,804 nodes and n = 10 took 2,082,057
-    for n, nodes in ((9, 1171), (10, 14906)):
-        res = max_rainbow_free_packing(SearchConfig(n=n, pattern=K3, forbidden=K3))
-        assert (res.value, res.optimal, res.nodes) == (6, True, nodes)
-
-
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(3, 8), pattern=st.sampled_from([K3, K4]), data=st.data())
 def test_clique_cap_keeps_values_and_witnesses(n, pattern, data):
@@ -294,7 +287,7 @@ def test_clique_cap_keeps_values_and_witnesses(n, pattern, data):
     cfg = SearchConfig(n=n, pattern=pattern, forbidden=K3, host=host, node_budget=20_000)
     capped = max_rainbow_free_packing(cfg)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_clique_cap", lambda t, n: n * n)
+        mp.setattr(solver, "_clique_cap", lambda t, vertices: vertices * vertices)
         uncapped = max_rainbow_free_packing(cfg)
     assert capped.value == uncapped.value
     assert capped.nodes <= uncapped.nodes
@@ -345,6 +338,11 @@ GOLDEN_SOLVES = [
      (2, True, 101, "fc9b351bceff287fb62c78d4c230f7d9a5f542afb61ad7cb651464161c2f8c2a")),
     (dict(n=8, pattern=K3, forbidden=K3, host=_HOST8, node_budget=4000),
      (4, True, 116, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
+    # without the clique cap these took 85,804 and 2,082,057 nodes
+    (dict(n=9, pattern=K3, forbidden=K3),
+     (6, True, 1171, "b22244a938e18e37d162de2d2012ea8422039181682135b8d1f7db1cfddad60c")),
+    (dict(n=10, pattern=K3, forbidden=K3),
+     (6, True, 14906, "8949ca00230c9ce917fd432c38e27f5c0ebff2a8e003a11227379729ebfa5a24")),
 ]
 
 
