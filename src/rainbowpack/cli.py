@@ -113,10 +113,7 @@ def _cmd_verify(args) -> tuple[str, str, dict]:
             raw = fh.read()
     else:
         raw = sys.stdin.read()
-    obj = json.loads(raw)
-    if not isinstance(obj, dict) or "copies" not in obj:
-        raise ValueError("verify expects a packing object with a 'copies' field")
-    packing = ColoredPacking.from_json_dict(obj)
+    packing = ColoredPacking.from_json_dict(json.loads(raw))
     forbidden = parse_graph(args.forbidden)
     witness = find_rainbow(packing, forbidden)
     payload: dict = {}

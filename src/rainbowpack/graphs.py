@@ -117,11 +117,7 @@ class SimpleGraph:
         return sorted(self.edges)
 
     def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for (u, v) in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        return adjacency(self.n, self.edges)
 
     def degrees(self) -> list[int]:
         deg = [0] * self.n
@@ -172,6 +168,15 @@ def embedded_edges(pattern: SimpleGraph, emb) -> list[tuple[int, int]]:
     """
     return sorted([(emb[u], emb[v]) if emb[u] < emb[v] else (emb[v], emb[u])
                    for (u, v) in pattern.edges])
+
+
+def adjacency(n: int, edges) -> list[set[int]]:
+    """Neighbor sets of the graph on 0..n-1 with these edges."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for (u, v) in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 def count_triangles(n: int, edges) -> tuple[list[int], int]:
@@ -330,26 +335,24 @@ def placement(small: SimpleGraph, first=()) -> tuple[list[int], list[list[int]]]
 
 
 def embeddings(small: SimpleGraph, host_adj: list[set[int]],
-               color: dict | None = None, pin=None, less=()):
+               color: dict | None = None, less=()):
     """Every injective edge-preserving map of ``small`` into a host, as an
     iterator of tuples whose entry i is the host vertex carrying small-graph
     vertex i.
 
     The host is given by its adjacency sets.  With ``color`` (host edge
     (u, v), u < v, to color) only maps whose edges get pairwise distinct
-    colors are yielded.  ``pin=((a, b), (u, v))`` yields only the maps with
-    a -> u and b -> v.  Each pair (a, b) in ``less`` keeps only the maps
+    colors are yielded.  Each pair (a, b) in ``less`` keeps only the maps
     that send a below b (see lex_min_conditions).  Small-graph vertices are
-    placed in the order of ``placement``, a pinned a and b first, and
-    candidates are tried in ascending order, so maps come out in a fixed
-    order.  GuardError when the host's bitmask rows would need more than
-    _ROW_BYTES_LIMIT bytes.
+    placed in the order of ``placement`` and candidates are tried in
+    ascending order, so maps come out in a fixed order.  GuardError when
+    the host's bitmask rows would need more than _ROW_BYTES_LIMIT bytes.
     """
     rows = sum(max(nb) for nb in host_adj if nb) // 8
     if rows > _ROW_BYTES_LIMIT:
         raise GuardError(f"embeddings guard: host bitmask rows need about "
                          f"{rows >> 20} MiB, over {_ROW_BYTES_LIMIT >> 20} MiB")
-    order, anchors = placement(small, pin[0] if pin is not None else ())
+    order, anchors = placement(small)
     # candidate sets are bitmasks, so the lowest set bit is the next host
     # vertex in ascending order and intersections are single integer ANDs
     nbr = [sum(1 << w for w in nb) for nb in host_adj]
@@ -364,10 +367,6 @@ def embeddings(small: SimpleGraph, host_adj: list[set[int]],
         if not anchors[i]:
             start[i] = int("".join("1" if len(nb) >= deg[v] else "0"
                                    for nb in reversed(host_adj)) or "0", 2)
-    if pin is not None:
-        (u, v) = pin[1]
-        start[0] &= 1 << u
-        start[1] &= 1 << v
     bounds = None
     if less:
         # each pair bounds the later-placed of its two vertices
@@ -454,32 +453,47 @@ def plan_embeddings(order: list[int], anchors: list[list[int]], nbr: list[int],
             placed[i] = [image[u] for u in anchors[i]]
 
 
+def _automorphism_sends(g: SimpleGraph, first, images) -> bool:
+    """Whether some automorphism of g sends first[i] to images[i] for
+    every i.
+
+    One search of g into itself with the first vertices pinned: an
+    injective edge-preserving map of a finite graph to itself is an
+    automorphism.  Only the first such map is asked for, so Aut(g) is never
+    listed (K8 has 40,320 automorphisms).  An automorphism keeps every
+    degree, so each other vertex starts from the vertices of its degree.
+    """
+    adj = g.adjacency()
+    deg = [len(nb) for nb in adj]
+    if any(deg[v] != deg[h] for v, h in zip(first, images)):
+        return False
+    same_degree: dict[int, int] = {}
+    for v, d in enumerate(deg):
+        same_degree[d] = same_degree.get(d, 0) | 1 << v
+    pinned = dict(zip(first, images))
+    order, anchors = placement(g, first)
+    start = [1 << pinned[v] if v in pinned else same_degree[deg[v]] for v in order]
+    nbr = [sum(1 << w for w in nb) for nb in adj]
+    return next(plan_embeddings(order, anchors, nbr, start), None) is not None
+
+
 def arc_orbit_representatives(g: SimpleGraph) -> list[tuple[int, int]]:
     """One arc from each orbit of Aut(g) on g's arcs, the two orientations
     (u, v) and (v, u) of every edge; each representative is the smallest
-    arc of its orbit, and they come in ascending order.
-
-    An arc (p, q) shares the orbit of a representative (a, b) exactly when
-    the kernel maps g into itself with a -> p and b -> q: an injective
-    edge-preserving map of a finite graph to itself is an automorphism.
-    Only the first such map is asked for, so Aut(g) is never listed (K8 has
-    40,320 automorphisms and one representative).
+    arc of its orbit, and they come in ascending order.  An arc joins the
+    orbit of a representative when _automorphism_sends maps one to the
+    other.
     """
-    adj = g.adjacency()
     arcs = sorted(itertools.chain(g.edges, ((v, u) for (u, v) in g.edges)))
     reps: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for (a, b) in arcs:
-        if (a, b) in seen:
+    for arc in arcs:
+        if arc in seen:
             continue
-        reps.append((a, b))
-        for (p, q) in arcs:
-            # an automorphism keeps every degree, so only such arcs are tried
-            if ((p, q) not in seen and len(adj[p]) == len(adj[a])
-                    and len(adj[q]) == len(adj[b])
-                    and next(embeddings(g, adj, pin=((a, b), (p, q))), None)
-                    is not None):
-                seen.add((p, q))
+        reps.append(arc)
+        for other in arcs:
+            if other not in seen and _automorphism_sends(g, arc, other):
+                seen.add(other)
     return reps
 
 
@@ -498,23 +512,9 @@ def lex_min_conditions(g: SimpleGraph) -> tuple[tuple[int, int], ...]:
     other automorphism t at the first vertex j that t moves, since t(j) is
     in the orbit of j.
 
-    Each pair is found by a search of g into itself with 0..i-1 pinned to
-    themselves and i to v, as in arc_orbit_representatives, so Aut(g) is
-    never listed.  Cached, as the searches cost more than a small solve.
+    Each pair is asked of _automorphism_sends, with 0..i-1 pinned to
+    themselves and i to v.  Cached, as the searches cost more than a small
+    solve.
     """
-    adj = g.adjacency()
-    nbr = [sum(1 << w for w in nb) for nb in adj]
-    # an automorphism keeps every degree
-    same_degree: dict[int, int] = {}
-    for v, nb in enumerate(adj):
-        same_degree[len(nb)] = same_degree.get(len(nb), 0) | 1 << v
-    pairs = []
-    for i in range(g.n):
-        order, anchors = placement(g, range(i + 1))
-        start = [1 << v if v < i else same_degree[len(adj[v])] for v in order]
-        for v in range(i + 1, g.n):
-            if start[i] >> v & 1:
-                pinned = start[:i] + [1 << v] + start[i + 1:]
-                if next(plan_embeddings(order, anchors, nbr, pinned), None) is not None:
-                    pairs.append((i, v))
-    return tuple(pairs)
+    return tuple((i, v) for i in range(g.n) for v in range(i + 1, g.n)
+                 if _automorphism_sends(g, range(i + 1), (*range(i), v)))

@@ -232,11 +232,6 @@ def lp_fractional_packing(host: SimpleGraph, pattern: SimpleGraph
         raise GuardError(f"lp guard: {host.edge_count()} edges exceed {_LP_EDGE_LIMIT}")
     found = enumerate_copy_edges(host.n, pattern, host, max_copies=_LP_COPY_LIMIT)
     host_edges = host.sorted_edges()
-    if not found:
-        zeros = (Fraction(0),) * len(host_edges)
-        problem = FractionalPackingProblem(host, pattern, (), (), zeros)
-        return (Fraction(0), problem)
-
     edge_row = {e: i for i, e in enumerate(host_edges)}
     copy_rows = [[edge_row[e] for e in edges] for _, edges in found]
     value, x, y, _ = _simplex_max(copy_rows, len(host_edges))

@@ -18,9 +18,11 @@ it.  A triangle is tested before the copy is placed, through the common
 neighbors of each new edge's ends; any other G runs the embedding kernel
 with the pin.
 The tree is split into subproblems keyed by the first included copy, each
-with an equal share of the node budget, solved in order against one
-incumbent that only a strictly larger packing replaces, so the result is
-bitwise identical from run to run.
+of the k of them with budget // (k + 1) nodes, so a search stops after
+about k/(k + 1) of the budget (half under symmetry breaking, which keeps
+one subproblem).  They are solved in order against one incumbent that
+only a strictly larger packing replaces, so the result is bitwise
+identical from run to run.
 
 oracle_max_packing is the deliberately naive cross-check: copies from
 plain vertex permutations, full subset enumeration and a from-scratch
@@ -332,9 +334,9 @@ def max_rainbow_free_packing(cfg: SearchConfig) -> SearchResult:
 
     t, e_f = cfg.pattern.n, cfg.pattern.edge_count()
     cap = len(host_edges) // e_f
-    # F = K_t and G = K3, recognized by their vertex and edge counts
+    # F = K_t and G = K3
     if (t >= 3 and e_f == t * (t - 1) // 2 and copies and cfg.forbidden is not None
-            and cfg.forbidden.n == 3 and cfg.forbidden.edge_count() == 3):
+            and cfg.forbidden.is_cycle(3)):
         cap = min(cap, _clique_cap(t, len({v for emb in copies for v in emb})))
     sub = _SubSolver(cfg.n, cfg.forbidden, cap, copy_edges,
                      edge_ids, len(host_edges), budget_per)

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AuditError, GuardError
-from .graphs import (ColoredPacking, SimpleGraph, _norm_edge, count_triangles,
-                     embeddings)
+from .graphs import (ColoredPacking, SimpleGraph, _norm_edge, adjacency,
+                     count_triangles, embeddings)
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
             return None
     if forbidden.is_cycle(3):
         return _find_rainbow_triangle(packing)
-    verts = next(embeddings(forbidden, _adjacency(packing), color=col), None)
+    verts = next(embeddings(forbidden, adjacency(packing.n, col), color=col), None)
     if verts is None:
         return None
     edges = []
@@ -125,17 +125,9 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     return RainbowWitness(verts, tuple(edges))
 
 
-def _adjacency(packing: ColoredPacking) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(packing.n)]
-    for (u, v) in packing.edge_color:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
 def _find_rainbow_triangle(packing: ColoredPacking):
     col = packing.edge_color
-    adj = _adjacency(packing)
+    adj = adjacency(packing.n, col)
     for (u, v) in sorted(col):
         c_uv = col[(u, v)]
         for z in sorted(adj[u] & adj[v]):

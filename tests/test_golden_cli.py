@@ -64,6 +64,12 @@ CASES = {
     "lp-k6-c5": (
         [["lp", "--host", "k6", "--pattern", "c5"]], 0,
         "927c8e9d5e60c5cf58afbcaaaf0cef4446c35cc275035f8a7d2b36555ae474f6"),
+    "lp-c5-k3-no-copies": (
+        [["lp", "--host", "c5", "--pattern", "k3"]], 0,
+        "843c0e2cd921a623f74e0c0f2bff956640aedbbbcecd7abb66cf74d23a83df0d"),
+    "lp-k1-edge-no-edges": (
+        [["lp", "--host", "k1", "--pattern", "edge"]], 0,
+        "37e7e4e59fc34575ae2c06bd307f99761ac8f6592e6e3443ccc934d2d0eea7e6"),
     "gadget-100": (
         [["gadget", "--n", "100"]], 0,
         "ba8661d910a47d5a4f8f987dec9c1e4a885dff5cd57c76c8fb9ad2d15b2f221e"),

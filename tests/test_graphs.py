@@ -13,7 +13,8 @@ from rainbowpack import (BlowupSpec, ColoredPacking, GuardError, PackingError,
 from rainbowpack import graphs
 from rainbowpack.constructions import c5_blowup_packing, k5_double_pentagon
 from rainbowpack.graphs import (_JSON_N_LIMIT, arc_orbit_representatives,
-                                 embeddings, lex_min_conditions)
+                                 embeddings, lex_min_conditions, placement,
+                                 plan_embeddings)
 
 
 def test_edge_normalization_and_value_equality():
@@ -210,9 +211,14 @@ def test_pinned_embedding_kernel_matches_filtered_brute_force(
     expected = [m for m in _brute_force_maps(small, host, color)
                 if m[a] == u and m[b] == v]
     # the pinned arc is placed first, then BFS runs from both its ends
-    order = _bfs_order(small, (a, b))
+    order, anchors = placement(small, (a, b))
+    assert order == _bfs_order(small, (a, b))
     expected.sort(key=lambda m: [m[v] for v in order])
-    got = list(embeddings(small, host.adjacency(), color, pin=((a, b), (u, v))))
+    # pinned as the solver pins: one host vertex at each pinned position,
+    # every host vertex at the others
+    nbr = [sum(1 << w for w in nb) for nb in host.adjacency()]
+    start = [1 << u, 1 << v] + [(1 << host.n) - 1] * (small.n - 2)
+    got = list(plan_embeddings(order, anchors, nbr, start, color))
     assert got == expected
 
 
@@ -261,6 +267,36 @@ def test_lex_min_conditions_against_permutations():
             conditions = lex_min_conditions(g)
             assert list(conditions) == want, g
             assert list(embeddings(g, g.adjacency(), less=conditions)) == [tuple(range(n))]
+
+
+@st.composite
+def _graph_with_symmetry(draw) -> SimpleGraph:
+    # the union of the orbits of a few edges under a drawn permutation, so
+    # Aut(g) holds that permutation; isolated vertices are kept
+    n = draw(st.integers(6, 7))
+    sigma = draw(st.permutations(range(n)))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = set()
+    for (u, v) in draw(st.lists(st.sampled_from(pairs), max_size=6)):
+        while (u, v) not in edges:
+            edges.add((u, v))
+            u, v = sorted((sigma[u], sigma[v]))
+    return SimpleGraph(n, frozenset(edges))
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=_graph_with_symmetry())
+def test_automorphism_searches_against_permutations_beyond_five_vertices(g):
+    autos = _automorphisms(g)
+    want = sorted({(i, p[i]) for p in autos for i in range(g.n)
+                   if p[:i] == tuple(range(i)) and p[i] != i})
+    assert list(lex_min_conditions(g)) == want
+    assert list(embeddings(g, g.adjacency(), less=lex_min_conditions(g))) == [
+        tuple(range(g.n))]
+    if g.edges and g.is_connected():
+        arcs = [(u, v) for (u, v) in g.edges] + [(v, u) for (u, v) in g.edges]
+        smallest = {min((p[x], p[y]) for p in autos) for (x, y) in arcs}
+        assert arc_orbit_representatives(g) == sorted(smallest)
 
 
 def test_embedding_kernel_roots_skip_isolated_host_vertices():

@@ -385,13 +385,15 @@ def test_deep_search_needs_no_deep_stack(n):
 @given(n=st.integers(3, 7), pattern=st.sampled_from([K3, C4, C5]), data=st.data())
 def test_triangle_check_matches_the_embedding_kernel(n, pattern, data):
     # with K3 not recognized as a triangle the solver checks every include
-    # with the embedding kernel; the search tree must not change
+    # with the embedding kernel; the search tree must not change.  That also
+    # drops the clique cap, so both runs go without it
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     host = SimpleGraph(n, frozenset(e for e, k in zip(pairs, keep) if k))
     cfg = SearchConfig(n=n, pattern=pattern, forbidden=K3, host=host, node_budget=3000)
-    fast = max_rainbow_free_packing(cfg)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_clique_cap", lambda t, vertices: vertices * vertices)
+        fast = max_rainbow_free_packing(cfg)
         mp.setattr(SimpleGraph, "is_cycle", lambda self, k: False)
         generic = max_rainbow_free_packing(cfg)
     assert _fingerprint(fast) == _fingerprint(generic)
