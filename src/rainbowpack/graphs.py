@@ -11,7 +11,10 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import GuardError, PackingError
 
@@ -180,28 +183,89 @@ def adjacency(n: int, edges) -> list[set[int]]:
 
 
 def count_triangles(n: int, edges) -> tuple[list[int], int]:
-    """Degrees and triangle count of the graph on 0..n-1 with these edges.
+    """Degrees and triangle count of the graph on 0..n-1 with these edges,
+    read in one pass."""
+    fwd = forward_sets(n, edges)
+    deg = [len(f) for f in fwd]
+    for f in fwd:
+        for v in f:
+            deg[v] += 1
+    return deg, forward_triangles(fwd)
 
-    Each edge points toward its endpoint of larger (degree, id), so a
-    triangle is met once, at the out-edge between its two lower endpoints,
-    and no vertex has more than sqrt(2m) out-neighbors.
-    """
-    deg = [0] * n
+
+def forward_sets(n: int, edges) -> list[set[int]]:
+    """Per vertex u of 0..n-1, its neighbors above u."""
+    fwd: list[set[int]] = [set() for _ in range(n)]
     for (u, v) in edges:
-        deg[u] += 1
-        deg[v] += 1
-    out: list[set[int]] = [set() for _ in range(n)]
-    for (u, v) in edges:
-        if deg[u] < deg[v] or (deg[u] == deg[v] and u < v):
-            out[u].add(v)
+        if u < v:
+            fwd[u].add(v)
         else:
-            out[v].add(u)
-    return deg, sum(len(out[u] & out[v]) for u in range(n) for v in out[u])
+            fwd[v].add(u)
+    return fwd
+
+
+def forward_triangles(fwd: list[set[int]]) -> int:
+    """Triangle count from forward_sets: triangle a < b < c is met once, at
+    edge (a, b), where c lies in both forward sets.  A set intersection
+    costs the smaller set's size, at most min(deg a, deg b), so the count
+    takes O(m^1.5) steps in all (Chiba and Nishizeki 1985)."""
+    return sum(len(fwd[u] & fwd[v]) for u in range(len(fwd)) for v in fwd[u])
 
 
 def canonical_json(obj) -> str:
     """One fixed byte representation per value, for certificate diffing."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _raise_first_packing_error(n: int, pattern: SimpleGraph, copies) -> None:
+    """Raise the PackingError of the first copy, in copy order, that has the
+    wrong length, repeats a vertex, leaves 0..n-1 or reuses an edge of an
+    earlier copy."""
+    seen: dict[tuple[int, int], int] = {}
+    k = pattern.n
+    for ci, copy in enumerate(copies):
+        if len(copy) != k:
+            raise PackingError(f"copy {ci} has {len(copy)} vertices, expected {k}")
+        if len(set(copy)) != k:
+            raise PackingError(f"copy {ci} is not injective: {copy}")
+        for x in copy:
+            if not (0 <= x < n):
+                raise PackingError(f"copy {ci} uses vertex {x} outside ground set")
+        for (i, j) in pattern.edges:
+            e = _norm_edge(copy[i], copy[j])
+            prev = seen.get(e)
+            if prev is not None:
+                raise PackingError(f"copies {prev} and {ci} both use edge {e}")
+            seen[e] = ci
+    raise AssertionError("the bulk packing checks failed where the per-copy loop passed")
+
+
+class EdgeColors(Mapping):
+    """Read-only view of a packing's edge colors keyed by (u, v), u < v,
+    over its map from the key u*n + v to the color.  Any other key,
+    (v, u) included, is missing: u*n + v would name another edge."""
+
+    __slots__ = ("_n", "_colors")
+
+    def __init__(self, n: int, colors: dict[int, int]) -> None:
+        self._n = n
+        self._colors = colors
+
+    def __getitem__(self, edge) -> int:
+        try:
+            u, v = edge
+            if 0 <= u < v < self._n:
+                return self._colors[u * self._n + v]
+        except (TypeError, ValueError, KeyError):
+            pass
+        raise KeyError(edge)
+
+    def __iter__(self):
+        n = self._n
+        return (divmod(key, n) for key in self._colors)
+
+    def __len__(self) -> int:
+        return len(self._colors)
 
 
 class ColoredPacking:
@@ -211,6 +275,13 @@ class ColoredPacking:
     copy ``c``.  Copy index c is the color of every edge of that copy.
     Construction validates injectivity of each embedding and pairwise
     edge-disjointness; the offending pair of copies is reported on clash.
+
+    The packing keeps one index on integer edge keys: ``key_color`` maps
+    u*n + v, u < v, to the color of edge (u, v), and ``edge_color`` is a
+    read-only view of it keyed by (u, v).  The copies are validated in
+    bulk, one pattern edge at a time over the column of each pattern
+    vertex; only when a bulk check fails does the per-copy loop run, to
+    name the first offending copy.
     """
 
     def __init__(self, n: int, pattern: SimpleGraph, copies) -> None:
@@ -220,24 +291,24 @@ class ColoredPacking:
             raise PackingError(f"vertex count must be nonnegative, got {n}")
         self.n = n
         self.pattern = pattern
-        self.copies: tuple[tuple[int, ...], ...] = tuple(tuple(c) for c in copies)
-        self.edge_color: dict[tuple[int, int], int] = {}
+        self.copies: tuple[tuple[int, ...], ...] = tuple(map(tuple, copies))
+        copies = self.copies
         k = pattern.n
-        for ci, copy in enumerate(self.copies):
-            if len(copy) != k:
-                raise PackingError(f"copy {ci} has {len(copy)} vertices, expected {k}")
-            if len(set(copy)) != k:
-                raise PackingError(f"copy {ci} is not injective: {copy}")
-            for x in copy:
-                if not (0 <= x < n):
-                    raise PackingError(f"copy {ci} uses vertex {x} outside ground set")
-            for (i, j) in pattern.edges:
-                e = _norm_edge(copy[i], copy[j])
-                prev = self.edge_color.get(e)
-                if prev is not None:
-                    raise PackingError(
-                        f"copies {prev} and {ci} both use edge {e}")
-                self.edge_color[e] = ci
+        flat = list(itertools.chain.from_iterable(copies))
+        if copies and not (set(map(len, copies)) == {k}
+                           and 0 <= min(flat) and max(flat) < n
+                           and set(map(len, map(set, copies))) == {k}):
+            _raise_first_packing_error(n, pattern, copies)
+        keys: list[int] = []
+        for (i, j) in pattern.edges:
+            keys += [a * n + b if a < b else b * n + a
+                     for a, b in zip(self.column(i), self.column(j))]
+        # pattern edge e of copy c sits at keys[e * len(copies) + c]
+        self.key_color: dict[int, int] = dict(zip(keys, itertools.chain.from_iterable(
+            itertools.repeat(range(len(copies)), pattern.edge_count()))))
+        if len(self.key_color) != len(keys):
+            _raise_first_packing_error(n, pattern, copies)
+        self.edge_color = EdgeColors(n, self.key_color)
 
     def __len__(self) -> int:
         return len(self.copies)
@@ -246,11 +317,30 @@ class ColoredPacking:
         """Ground edges of copy ci, sorted."""
         return embedded_edges(self.pattern, self.copies[ci])
 
+    def column(self, i: int):
+        """The host vertex of pattern vertex i in each copy, in copy order."""
+        return map(itemgetter(i), self.copies)
+
+    @functools.cached_property
+    def union_index(self) -> tuple[list[int], list[set[int]]]:
+        """Degrees and forward sets (see forward_sets) of the union, built
+        on first use and kept.  A vertex's degree is the pattern degree of
+        each position it fills, summed over the copies."""
+        deg = [0] * self.n
+        for i, d in enumerate(self.pattern.degrees()):
+            if d:
+                for v, times in Counter(self.column(i)).items():
+                    deg[v] += d * times
+        pairs = itertools.chain.from_iterable(
+            zip(self.column(i), self.column(j)) for (i, j) in self.pattern.edges)
+        return deg, forward_sets(self.n, pairs)
+
     @functools.cached_property
     def union_triangles(self) -> tuple[list[int], int]:
         """Degrees and triangle count of the union, counted on first use
         and kept, so find_rainbow and pentagon_audit count once."""
-        return count_triangles(self.n, self.edge_color)
+        deg, fwd = self.union_index
+        return deg, forward_triangles(fwd)
 
     def to_json_dict(self) -> dict:
         return {
@@ -322,14 +412,20 @@ def placement(small: SimpleGraph, first=()) -> tuple[list[int], list[list[int]]]
     """
     s_adj = small.adjacency()
     order = list(first)
+    at = {v: i for i, v in enumerate(order)}  # position of each placed vertex
     roots = iter(range(small.n))
     head = 0
     while len(order) < small.n:
         if head == len(order):  # the queue ran dry: root the next component
-            order.append(next(r for r in roots if r not in order))
-        order += [w for w in sorted(s_adj[order[head]]) if w not in order]
+            root = next(r for r in roots if r not in at)
+            at[root] = len(order)
+            order.append(root)
+        for w in sorted(s_adj[order[head]]):
+            if w not in at:
+                at[w] = len(order)
+                order.append(w)
         head += 1
-    anchors = [[u for u in sorted(s_adj[v]) if u in order[:i]]
+    anchors = [[u for u in sorted(s_adj[v]) if at[u] < i]
                for i, v in enumerate(order)]
     return order, anchors
 
@@ -343,7 +439,9 @@ def embeddings(small: SimpleGraph, host_adj: list[set[int]],
     The host is given by its adjacency sets.  With ``color`` (host edge
     (u, v), u < v, to color) only maps whose edges get pairwise distinct
     colors are yielded.  Each pair (a, b) in ``less`` keeps only the maps
-    that send a below b (see lex_min_conditions).  Small-graph vertices are
+    that send a below b (see lex_min_conditions); a vertex that chains of
+    pairs put below j vertices and above i others only tries host vertices
+    with at least j ids above and i below it.  Small-graph vertices are
     placed in the order of ``placement`` and candidates are tried in
     ascending order, so maps come out in a fixed order.  GuardError when
     the host's bitmask rows would need more than _ROW_BYTES_LIMIT bytes.
@@ -377,7 +475,39 @@ def embeddings(small: SimpleGraph, host_adj: list[set[int]],
                 bounds[at[b]][0].append(a)
             else:
                 bounds[at[a]][1].append(b)
+        # a vertex that chains of pairs force below `up` others and above
+        # `down` others takes only the host ids that leave room for them
+        room = _chain_room(tuple(less))
+        for i, v in enumerate(order):
+            up, down = room.get(v, (0, 0))
+            start[i] &= ((1 << max(0, len(host_adj) - up)) - 1) & -(1 << down)
     return plan_embeddings(order, anchors, nbr, start, color, bounds)
+
+
+@functools.lru_cache(maxsize=256)
+def _chain_room(less: tuple) -> dict[int, tuple[int, int]]:
+    """For each vertex named in the pairs ``less``, how many vertices
+    chains of one or more pairs put above it and how many below it.
+    Cached, as enumerate_copies asks it of the same pairs on every call."""
+    above: dict[int, list[int]] = {}
+    below: dict[int, list[int]] = {}
+    for (a, b) in less:
+        above.setdefault(a, []).append(b)
+        below.setdefault(b, []).append(a)
+    return {v: (_reach(above, v), _reach(below, v)) for v in above.keys() | below.keys()}
+
+
+def _reach(step: dict[int, list[int]], v: int) -> int:
+    """How many vertices the lists ``step`` lead to from v, in one or more
+    steps."""
+    seen: set[int] = set()
+    stack = [v]
+    while stack:
+        for w in step.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen)
 
 
 def plan_embeddings(order: list[int], anchors: list[list[int]], nbr: list[int],

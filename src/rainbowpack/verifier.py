@@ -12,11 +12,11 @@ progression-free set serves every pair of cliques K_t, K_s (the
 Alon-Shapira extension of Ruzsa-Szemeredi).  Copies are edge-disjoint, so
 the t_F triangles of the pattern F inside each copy are distinct
 monochromatic triangles of the union.  The union's triangles are counted
-once each by degree ordering (Chiba and Nishizeki 1985); when there are no
-more than t_F per copy, none is rainbow.  Otherwise the search runs as if
-there were no count: the lexicographic triangle scan for a triangle G,
-the embedding kernel for any other G, and either names a witness or finds
-none.
+once each, at their lowest edge, on the packing's forward sets (Chiba and
+Nishizeki 1985); when there are no more than t_F per copy, none is
+rainbow.  Otherwise the search runs as if there were no count: the
+lexicographic triangle scan for a triangle G, the embedding kernel for any
+other G, and either names a witness or finds none.
 
 pentagon_audit recomputes, on a rainbow-triangle-free pentagon packing,
 the exact degree double counting, the quadratic-mean lower bound, and the
@@ -98,16 +98,15 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     it contains a triangle, None comes without a search when the union has
     no triangles besides the t_F triangles of each copy: every rainbow copy
     of G holds a rainbow triangle, and there is none (see the module
-    docstring).  Otherwise, for a triangle, a scan walks host edges in
-    sorted order and intersects neighborhoods, so the witness is the
-    lexicographically smallest rainbow triangle, and the scan returns None
-    if there is none.  Any other graph takes the first map of the
-    embedding kernel, which tries host vertices in ascending order and
+    docstring).  Otherwise, for a triangle, a scan walks the union's edges
+    in ascending order on the forward sets the count built, so the witness
+    is the lexicographically smallest rainbow triangle, and the scan
+    returns None if there is none.  Any other graph takes the first map of
+    the embedding kernel, which tries host vertices in ascending order and
     raises GuardError when the union is too sparse and wide for its
     bitmask rows; the count never changes which witness is named.
     """
     check_forbidden(forbidden)
-    col = packing.edge_color
     if count_triangles(forbidden.n, forbidden.edges)[1] > 0:
         pattern = packing.pattern
         if packing.union_triangles[1] == (
@@ -115,6 +114,7 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
             return None
     if forbidden.is_cycle(3):
         return _find_rainbow_triangle(packing)
+    col = dict(packing.edge_color)
     verts = next(embeddings(forbidden, adjacency(packing.n, col), color=col), None)
     if verts is None:
         return None
@@ -126,19 +126,23 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
 
 
 def _find_rainbow_triangle(packing: ColoredPacking):
-    col = packing.edge_color
-    adj = adjacency(packing.n, col)
-    for (u, v) in sorted(col):
-        c_uv = col[(u, v)]
-        for z in sorted(adj[u] & adj[v]):
-            c_uz = col[_norm_edge(u, z)]
-            c_vz = col[_norm_edge(v, z)]
-            if c_uv != c_uz and c_uv != c_vz and c_uz != c_vz:
-                return RainbowWitness(
-                    (u, v, z),
-                    (((0, 1), (u, v), c_uv),
-                     ((0, 2), _norm_edge(u, z), c_uz),
-                     ((1, 2), _norm_edge(v, z), c_vz)))
+    """The lexicographically smallest rainbow triangle (a, b, c), a < b < c,
+    as a witness, or None.  Edges (a, b) are walked in ascending order on
+    the packing's forward sets, each with its common forward neighbors c
+    in ascending order, and colors are read by edge key."""
+    n = packing.n
+    col = packing.key_color
+    fwd = packing.union_index[1]
+    for a, fwd_a in enumerate(fwd):
+        for b in sorted(fwd_a):
+            c_ab = col[a * n + b]
+            for c in sorted(fwd_a & fwd[b]):
+                c_ac = col[a * n + c]
+                c_bc = col[b * n + c]
+                if c_ab != c_ac and c_ab != c_bc and c_ac != c_bc:
+                    return RainbowWitness((a, b, c), (((0, 1), (a, b), c_ab),
+                                                      ((0, 2), (a, c), c_ac),
+                                                      ((1, 2), (b, c), c_bc)))
     return None
 
 
@@ -198,22 +202,20 @@ def pentagon_audit(packing: ColoredPacking) -> PentagonAudit:
         raise AuditError("pentagon_audit needs a 5-cycle pattern")
 
     n, t = packing.n, len(packing)
-    col = packing.edge_color
+    col = packing.key_color
     deg, triangles = packing.union_triangles
-    # the two ends of the cherry centred at each pattern vertex
-    ends = [tuple(nb) for nb in pattern.adjacency()]
     local = [0] * t
-    for copy in packing.copies:
-        for (i, j) in ends:
-            a, b = copy[i], copy[j]
-            c = col.get((a, b) if a < b else (b, a))
+    # the two ends of the cherry centred at each pattern vertex
+    for (i, j) in map(tuple, pattern.adjacency()):
+        for a, b in zip(packing.column(i), packing.column(j)):
+            c = col.get(a * n + b if a < b else b * n + a)
             if c is not None:
                 local[c] += 1
     nstar_total = sum(local)
     if triangles != nstar_total:
         raise AuditError("packing contains a rainbow triangle: "
                          f"{_find_rainbow_triangle(packing).vertices}")
-    per_copy = [(sum(deg[v] for v in copy), 2 * n + 10 + local[ci])
+    per_copy = [(sum(map(deg.__getitem__, copy)), 2 * n + 10 + local[ci])
                 for ci, copy in enumerate(packing.copies)]
 
     double_sum = sum(lhs for (lhs, _) in per_copy)

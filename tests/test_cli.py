@@ -11,7 +11,7 @@ import pytest
 
 from rainbowpack import ColoredPacking, GuardError, SimpleGraph, cli, graphs, solver
 from rainbowpack.cli import main, parse_graph
-from rainbowpack.graphs import count_triangles
+from rainbowpack.graphs import forward_triangles
 
 K3 = SimpleGraph.complete(3)
 
@@ -83,20 +83,21 @@ def test_verify_attaches_pentagon_audit(capsys, tmp_path):
 
 def test_verify_counts_a_pentagon_packings_triangles_once(capsys, tmp_path, monkeypatch):
     # find_rainbow and pentagon_audit both need the union's triangle count;
-    # the packing keeps it, so verify counts the 35-vertex union once
+    # the packing keeps it, so verify counts the 35-vertex union once, beside
+    # the forbidden K3 and the C5 pattern
     packing_file = tmp_path / "pent.json"
     run(capsys, ["construct", "--family", "c5blowup", "--m", "7",
                  "--out", str(packing_file)])
     counted = []
 
-    def counting(n, edges):
-        counted.append(n)
-        return count_triangles(n, edges)
+    def counting(out):
+        counted.append(len(out))
+        return forward_triangles(out)
 
-    monkeypatch.setattr(graphs, "count_triangles", counting)
+    monkeypatch.setattr(graphs, "forward_triangles", counting)
     code, out, _ = run(capsys, ["verify", "--in", str(packing_file)])
     assert code == 0 and "audit" in json.loads(out)
-    assert counted == [35]
+    assert sorted(counted) == [3, 5, 35]
 
 
 def test_verify_fail_witness_and_exit_2(capsys, tmp_path):

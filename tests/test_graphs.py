@@ -13,8 +13,8 @@ from rainbowpack import (BlowupSpec, ColoredPacking, GuardError, PackingError,
 from rainbowpack import graphs
 from rainbowpack.constructions import c5_blowup_packing, k5_double_pentagon
 from rainbowpack.graphs import (_JSON_N_LIMIT, arc_orbit_representatives,
-                                 embeddings, lex_min_conditions, placement,
-                                 plan_embeddings)
+                                 count_triangles, embeddings,
+                                 lex_min_conditions, placement, plan_embeddings)
 
 
 def test_edge_normalization_and_value_equality():
@@ -82,6 +82,102 @@ def test_packing_rejects_duplicate_copy():
 def test_packing_rejects_edgeless_pattern():
     with pytest.raises(PackingError):
         ColoredPacking(3, SimpleGraph.empty(2), [(0, 1)])
+
+
+def _loop_validated(n: int, pattern: SimpleGraph, copies) -> dict:
+    """Edge -> color the way the per-copy loop builds it, raising the first
+    PackingError it meets: the reference for the bulk validation."""
+    color: dict[tuple[int, int], int] = {}
+    k = pattern.n
+    for ci, copy in enumerate(copies):
+        if len(copy) != k:
+            raise PackingError(f"copy {ci} has {len(copy)} vertices, expected {k}")
+        if len(set(copy)) != k:
+            raise PackingError(f"copy {ci} is not injective: {copy}")
+        for x in copy:
+            if not (0 <= x < n):
+                raise PackingError(f"copy {ci} uses vertex {x} outside ground set")
+        for (i, j) in pattern.edges:
+            e = (min(copy[i], copy[j]), max(copy[i], copy[j]))
+            if e in color:
+                raise PackingError(f"copies {color[e]} and {ci} both use edge {e}")
+            color[e] = ci
+    return color
+
+
+VALIDATION_PATTERNS = [
+    SimpleGraph.complete(3), SimpleGraph.path(3), SimpleGraph.cycle(4),
+    SimpleGraph.cycle(5), SimpleGraph.from_edges(4, [(0, 1), (2, 3)]),
+    SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2)]),  # K3 and an isolated vertex
+]
+
+
+@st.composite
+def _copy_lists(draw):
+    """A ground size, a pattern and an edge-disjoint list of copies, with
+    copies inserted that may have the wrong length, repeat a vertex, leave
+    the ground set or reuse an edge."""
+    pattern = draw(st.sampled_from(VALIDATION_PATTERNS))
+    k = pattern.n
+    n = draw(st.integers(0, 9))
+    injective = st.permutations(range(max(n, k))).map(lambda p: list(p[:k]))
+    copies: list[tuple[int, ...]] = []
+    used: set[tuple[int, int]] = set()
+    for m in draw(st.lists(injective, max_size=10)):
+        edges = {(min(m[i], m[j]), max(m[i], m[j])) for (i, j) in pattern.edges}
+        if max(m) < n and not edges & used:
+            used |= edges
+            copies.append(tuple(m))
+    for _ in range(draw(st.integers(0, 2))):
+        bad = draw(injective)
+        kind = draw(st.sampled_from(["length", "repeat", "range", "clash"]))
+        if kind == "length":
+            bad = bad + bad[:1] if draw(st.booleans()) else bad[:-1]
+        elif kind == "repeat":
+            i, j = draw(st.permutations(range(k)))[:2]
+            bad[j] = bad[i]
+        elif kind == "range":
+            bad[draw(st.integers(0, k - 1))] = draw(st.sampled_from([-1, n, n + 1]))
+        copies.insert(draw(st.integers(0, len(copies))), tuple(bad))
+    return n, pattern, copies
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_copy_lists())
+def test_bulk_packing_validation_matches_the_per_copy_loop(case):
+    n, pattern, copies = case
+    try:
+        want = _loop_validated(n, pattern, copies)
+    except PackingError as exc:
+        with pytest.raises(PackingError) as got:
+            ColoredPacking(n, pattern, copies)
+        assert str(got.value) == str(exc)
+        return
+    p = ColoredPacking(n, pattern, copies)
+    assert dict(p.edge_color) == want and len(p.edge_color) == len(want)
+    assert p.key_color == {u * n + v: c for (u, v), c in want.items()}
+    # u*n + v names another edge when u >= v, u < 0 or v >= n
+    for u, v in itertools.product(range(-2, n + 2), repeat=2):
+        assert ((u, v) in p.edge_color) == ((u, v) in want)
+        assert p.edge_color.get((u, v)) == want.get((u, v))
+    assert p.edge_color.get(0) is None and (0, 1, 2) not in p.edge_color
+
+
+def test_packing_edge_color_is_a_read_only_view():
+    p = ColoredPacking(5, SimpleGraph.complete(3), [(0, 1, 2), (4, 0, 3)])
+    assert dict(p.edge_color) == {(0, 1): 0, (0, 2): 0, (1, 2): 0,
+                                  (0, 3): 1, (0, 4): 1, (3, 4): 1}
+    assert p.edge_color[(3, 4)] == 1 and len(p.edge_color) == 6
+    with pytest.raises(KeyError):
+        p.edge_color[(4, 3)]
+    with pytest.raises(TypeError):
+        p.edge_color[(2, 3)] = 1
+
+
+def test_count_triangles_reads_its_edges_once():
+    # a one-shot iterator of K4's edges still gives every degree and triangle
+    k4 = SimpleGraph.complete(4)
+    assert count_triangles(4, iter(k4.sorted_edges())) == ([3, 3, 3, 3], 4)
 
 
 def test_union_graph_counts():
@@ -158,6 +254,39 @@ def _bfs_order(g: SimpleGraph, first=()) -> list[int]:
                     order.append(w)
                     queue.append(w)
     return order
+
+
+def _list_placement(small: SimpleGraph, first=()) -> tuple[list[int], list[list[int]]]:
+    """placement with membership tested by scanning lists: the reference for
+    placement's position dict."""
+    s_adj = small.adjacency()
+    order = list(first)
+    roots = iter(range(small.n))
+    head = 0
+    while len(order) < small.n:
+        if head == len(order):
+            order.append(next(r for r in roots if r not in order))
+        order += [w for w in sorted(s_adj[order[head]]) if w not in order]
+        head += 1
+    anchors = [[u for u in sorted(s_adj[v]) if u in order[:i]]
+               for i, v in enumerate(order)]
+    return order, anchors
+
+
+def test_placement_matches_the_list_scan_on_every_graph_up_to_six_vertices():
+    for n in range(7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = frozenset(e for b, e in enumerate(pairs) if mask >> b & 1)
+            g = SimpleGraph(n, edges)
+            # no pin, an arc pinned as the solver pins, and a prefix pinned
+            # as lex_min_conditions pins
+            firsts = [(), tuple(range(n // 2))]
+            if edges:
+                a, b = min(edges)
+                firsts.append((b, a))
+            for first in firsts:
+                assert placement(g, first) == _list_placement(g, first), (g, first)
 
 
 @st.composite

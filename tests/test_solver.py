@@ -104,16 +104,38 @@ def test_enumerate_copies_copy_cap():
         enumerate_copies(5, K3, max_copies=9)
 
 
-@settings(max_examples=100, deadline=None)
+K5 = SimpleGraph.complete(5)
+K6 = SimpleGraph.complete(6)
+
+
+@settings(max_examples=150, deadline=None)
 @given(n=st.integers(1, 8),
        pattern=st.sampled_from([K3, P3, C4, C5, K4, K3_PLUS_VERTEX, VERTEX_PLUS_K3,
-                                TWO_K2, THREE_K2, TREE]),
+                                TWO_K2, THREE_K2, TREE, K5, K6]),
        data=st.data())
 def test_enumerate_copies_matches_naive_enumeration(n, pattern, data):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    if data.draw(st.booleans()):
+        # K_n less at most one edge, where K_k in K_(k+2) leaves the lex-min
+        # chains of K_k no spare host ids
+        removed = data.draw(st.sampled_from([None, *pairs]))
+        keep = [e != removed for e in pairs]
+    else:
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     host = SimpleGraph(n, frozenset(e for e, k in zip(pairs, keep) if k))
     assert enumerate_copies(n, pattern, host) == _naive_copies(pattern, host)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_enumerate_copies_of_k_k_in_k_k_plus_2(k):
+    # K_k's lex-min pairs chain all k vertices, so the chain prune leaves
+    # vertex i of K_k only the host ids i, i + 1 and i + 2
+    host = SimpleGraph.complete(k + 2)
+    assert enumerate_copies(k + 2, SimpleGraph.complete(k)) == _naive_copies(
+        SimpleGraph.complete(k), host)
+    minus = SimpleGraph(k + 2, host.edges - {(0, k + 1)})
+    assert enumerate_copies(k + 2, SimpleGraph.complete(k), minus) == _naive_copies(
+        SimpleGraph.complete(k), minus)
 
 
 def test_search_config_validation():
