@@ -141,7 +141,7 @@ def unbalanced_edge_count(shape: UnbalancedBlowupShape) -> int:
 def perfect_decomposition_check(packing: ColoredPacking,
                                 host: SimpleGraph) -> None:
     """Raise unless the packing's copies tile the host's edge set exactly."""
-    covered = set(packing.edge_color)
+    covered = set(packing.union_edges())
     if covered != host.edges:
         missing = sorted(host.edges - covered)[:5]
         extra = sorted(covered - host.edges)[:5]

@@ -241,31 +241,32 @@ def _raise_first_packing_error(n: int, pattern: SimpleGraph, copies) -> None:
 
 
 class EdgeColors(Mapping):
-    """Read-only view of a packing's edge colors keyed by (u, v), u < v,
-    over its map from the key u*n + v to the color.  Any other key,
+    """Read-only view of a packing's edge colors keyed by (u, v), u < v.
+    Its length is e(pattern) times the copy count; a lookup or a walk reads
+    the packing's key_color, which builds it on first use.  Any other key,
     (v, u) included, is missing: u*n + v would name another edge."""
 
-    __slots__ = ("_n", "_colors")
+    __slots__ = ("_packing",)
 
-    def __init__(self, n: int, colors: dict[int, int]) -> None:
-        self._n = n
-        self._colors = colors
+    def __init__(self, packing: "ColoredPacking") -> None:
+        self._packing = packing
 
     def __getitem__(self, edge) -> int:
+        n = self._packing.n
         try:
             u, v = edge
-            if 0 <= u < v < self._n:
-                return self._colors[u * self._n + v]
+            if 0 <= u < v < n:
+                return self._packing.key_color[u * n + v]
         except (TypeError, ValueError, KeyError):
             pass
         raise KeyError(edge)
 
     def __iter__(self):
-        n = self._n
-        return (divmod(key, n) for key in self._colors)
+        n = self._packing.n
+        return (divmod(key, n) for key in self._packing.key_color)
 
     def __len__(self) -> int:
-        return len(self._colors)
+        return self._packing.pattern.edge_count() * len(self._packing.copies)
 
 
 class ColoredPacking:
@@ -276,12 +277,16 @@ class ColoredPacking:
     Construction validates injectivity of each embedding and pairwise
     edge-disjointness; the offending pair of copies is reported on clash.
 
-    The packing keeps one index on integer edge keys: ``key_color`` maps
-    u*n + v, u < v, to the color of edge (u, v), and ``edge_color`` is a
-    read-only view of it keyed by (u, v).  The copies are validated in
-    bulk, one pattern edge at a time over the column of each pattern
-    vertex; only when a bulk check fails does the per-copy loop run, to
-    name the first offending copy.
+    The packing builds one index of its union: ``forward``, the forward
+    sets (see forward_sets) of all copy edges, read off the columns of the
+    pattern vertices.  The copies are validated in bulk: lengths, range and
+    injectivity over all copies at once, then edge-disjointness by the
+    size of the forward sets, which is e(pattern) times the copy count
+    exactly when no edge repeats.  Only when a bulk check fails does the
+    per-copy loop run, to name the first offending copy.  ``key_color``,
+    the map from the key u*n + v, u < v, to the color of edge (u, v), is
+    built on first read, and ``edge_color`` is a read-only view of it keyed
+    by (u, v) whose length needs no map.
     """
 
     def __init__(self, n: int, pattern: SimpleGraph, copies) -> None:
@@ -299,16 +304,11 @@ class ColoredPacking:
                            and 0 <= min(flat) and max(flat) < n
                            and set(map(len, map(set, copies))) == {k}):
             _raise_first_packing_error(n, pattern, copies)
-        keys: list[int] = []
-        for (i, j) in pattern.edges:
-            keys += [a * n + b if a < b else b * n + a
-                     for a, b in zip(self.column(i), self.column(j))]
-        # pattern edge e of copy c sits at keys[e * len(copies) + c]
-        self.key_color: dict[int, int] = dict(zip(keys, itertools.chain.from_iterable(
-            itertools.repeat(range(len(copies)), pattern.edge_count()))))
-        if len(self.key_color) != len(keys):
+        # within an injective copy the pattern's edges stay distinct, so
+        # only an edge shared by two copies can shrink the forward sets
+        self.forward: list[set[int]] = forward_sets(n, self.copy_pairs())
+        if sum(map(len, self.forward)) != pattern.edge_count() * len(copies):
             _raise_first_packing_error(n, pattern, copies)
-        self.edge_color = EdgeColors(n, self.key_color)
 
     def __len__(self) -> int:
         return len(self.copies)
@@ -321,26 +321,46 @@ class ColoredPacking:
         """The host vertex of pattern vertex i in each copy, in copy order."""
         return map(itemgetter(i), self.copies)
 
+    def copy_pairs(self):
+        """The host ends of every copy edge, unordered, one pattern edge at
+        a time in copy order."""
+        return itertools.chain.from_iterable(
+            zip(self.column(i), self.column(j)) for (i, j) in self.pattern.edges)
+
+    def union_edges(self):
+        """The union's edges (u, v), u < v, read off the forward sets."""
+        return ((u, v) for u, fwd_u in enumerate(self.forward) for v in fwd_u)
+
+    @property
+    def edge_color(self) -> EdgeColors:
+        """Edge colors keyed by (u, v), u < v; see EdgeColors."""
+        return EdgeColors(self)
+
     @functools.cached_property
-    def union_index(self) -> tuple[list[int], list[set[int]]]:
-        """Degrees and forward sets (see forward_sets) of the union, built
-        on first use and kept.  A vertex's degree is the pattern degree of
-        each position it fills, summed over the copies."""
+    def key_color(self) -> dict[int, int]:
+        """Color of each edge (u, v), u < v, keyed by u*n + v; built on
+        first read and kept."""
+        n = self.n
+        keys = [a * n + b if a < b else b * n + a for a, b in self.copy_pairs()]
+        # pattern edge e of copy c sits at keys[e * len(copies) + c]
+        return dict(zip(keys, itertools.chain.from_iterable(
+            itertools.repeat(range(len(self.copies)), self.pattern.edge_count()))))
+
+    def union_degrees(self) -> list[int]:
+        """Degrees of the union: the pattern degree of each position a
+        vertex fills, summed over the copies."""
         deg = [0] * self.n
         for i, d in enumerate(self.pattern.degrees()):
             if d:
                 for v, times in Counter(self.column(i)).items():
                     deg[v] += d * times
-        pairs = itertools.chain.from_iterable(
-            zip(self.column(i), self.column(j)) for (i, j) in self.pattern.edges)
-        return deg, forward_sets(self.n, pairs)
+        return deg
 
     @functools.cached_property
-    def union_triangles(self) -> tuple[list[int], int]:
-        """Degrees and triangle count of the union, counted on first use
-        and kept, so find_rainbow and pentagon_audit count once."""
-        deg, fwd = self.union_index
-        return deg, forward_triangles(fwd)
+    def union_triangles(self) -> int:
+        """Triangle count of the union, counted on first use and kept, so
+        find_rainbow and pentagon_audit count once."""
+        return forward_triangles(self.forward)
 
     def to_json_dict(self) -> dict:
         return {
@@ -379,7 +399,7 @@ class BlowupSpec:
 
 def union_graph(packing: ColoredPacking) -> SimpleGraph:
     """Union of all copy edges; exactly e(pattern) * len(copies) edges."""
-    return SimpleGraph(packing.n, frozenset(packing.edge_color))
+    return SimpleGraph(packing.n, frozenset(packing.union_edges()))
 
 
 def blow_up(spec: BlowupSpec) -> SimpleGraph:

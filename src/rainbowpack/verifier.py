@@ -99,7 +99,7 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     no triangles besides the t_F triangles of each copy: every rainbow copy
     of G holds a rainbow triangle, and there is none (see the module
     docstring).  Otherwise, for a triangle, a scan walks the union's edges
-    in ascending order on the forward sets the count built, so the witness
+    in ascending order on the packing's forward sets, so the witness
     is the lexicographically smallest rainbow triangle, and the scan
     returns None if there is none.  Any other graph takes the first map of
     the embedding kernel, which tries host vertices in ascending order and
@@ -109,7 +109,7 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     check_forbidden(forbidden)
     if count_triangles(forbidden.n, forbidden.edges)[1] > 0:
         pattern = packing.pattern
-        if packing.union_triangles[1] == (
+        if packing.union_triangles == (
                 count_triangles(pattern.n, pattern.edges)[1] * len(packing)):
             return None
     if forbidden.is_cycle(3):
@@ -132,7 +132,7 @@ def _find_rainbow_triangle(packing: ColoredPacking):
     in ascending order, and colors are read by edge key."""
     n = packing.n
     col = packing.key_color
-    fwd = packing.union_index[1]
+    fwd = packing.forward
     for a, fwd_a in enumerate(fwd):
         for b in sorted(fwd_a):
             c_ab = col[a * n + b]
@@ -202,19 +202,21 @@ def pentagon_audit(packing: ColoredPacking) -> PentagonAudit:
         raise AuditError("pentagon_audit needs a 5-cycle pattern")
 
     n, t = packing.n, len(packing)
-    col = packing.key_color
-    deg, triangles = packing.union_triangles
+    fwd = packing.forward
     local = [0] * t
-    # the two ends of the cherry centred at each pattern vertex
+    # the two ends of the cherry centred at each pattern vertex; a color is
+    # read only for a cherry that an edge closes
     for (i, j) in map(tuple, pattern.adjacency()):
         for a, b in zip(packing.column(i), packing.column(j)):
-            c = col.get(a * n + b if a < b else b * n + a)
-            if c is not None:
-                local[c] += 1
+            if a > b:
+                a, b = b, a
+            if b in fwd[a]:
+                local[packing.key_color[a * n + b]] += 1
     nstar_total = sum(local)
-    if triangles != nstar_total:
+    if packing.union_triangles != nstar_total:
         raise AuditError("packing contains a rainbow triangle: "
                          f"{_find_rainbow_triangle(packing).vertices}")
+    deg = packing.union_degrees()
     per_copy = [(sum(map(deg.__getitem__, copy)), 2 * n + 10 + local[ci])
                 for ci, copy in enumerate(packing.copies)]
 

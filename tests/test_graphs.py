@@ -163,6 +163,70 @@ def test_bulk_packing_validation_matches_the_per_copy_loop(case):
     assert p.edge_color.get(0) is None and (0, 1, 2) not in p.edge_color
 
 
+@st.composite
+def _packings_with_one_corruption(draw):
+    """An edge-disjoint packing of K3, C4 or C5, and the kind of the one
+    corruption, if any, made to it: a later copy that repeats an edge of
+    an earlier one, a copy that repeats a vertex, a vertex >= n, or a
+    short copy."""
+    pattern = draw(st.sampled_from([SimpleGraph.complete(3), SimpleGraph.cycle(4),
+                                    SimpleGraph.cycle(5)]))
+    k = pattern.n
+    n = draw(st.integers(k, 10))
+    perms = st.permutations(range(n))
+    copies: list[tuple[int, ...]] = []
+    used: set[tuple[int, int]] = set()
+    for m in draw(st.lists(perms.map(lambda p: tuple(p[:k])), max_size=8)):
+        edges = {(min(m[i], m[j]), max(m[i], m[j])) for (i, j) in pattern.edges}
+        if not edges & used:
+            used |= edges
+            copies.append(m)
+    kind = draw(st.sampled_from(["none", "edge", "vertex", "range", "short"]))
+    if kind == "none" or not copies:
+        return n, pattern, copies, None
+    ci = draw(st.integers(0, len(copies) - 1))
+    bad = list(copies[ci])
+    if kind == "edge":
+        # a copy inserted after ci, with one of its pattern edges on a
+        # host edge of copy ci
+        i, j = draw(st.sampled_from(sorted(pattern.edges)))
+        p, q = draw(st.sampled_from(sorted(pattern.edges)))
+        m = list(draw(perms))
+        for pos, x in ((p, bad[i]), (q, bad[j])):
+            at = m.index(x)
+            m[pos], m[at] = m[at], m[pos]
+        copies.insert(draw(st.integers(ci + 1, len(copies))), tuple(m[:k]))
+        return n, pattern, copies, kind
+    if kind == "vertex":
+        i, j = draw(st.permutations(range(k)))[:2]
+        bad[j] = bad[i]
+    elif kind == "range":
+        bad[draw(st.integers(0, k - 1))] = n + draw(st.integers(0, 2))
+    else:
+        bad.pop()
+    copies[ci] = tuple(bad)
+    return n, pattern, copies, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_packings_with_one_corruption())
+def test_forward_set_validation_matches_the_first_packing_error(case):
+    n, pattern, copies, corruption = case
+    if corruption is not None:
+        with pytest.raises(PackingError) as want:
+            graphs._raise_first_packing_error(n, pattern, copies)
+        with pytest.raises(PackingError) as got:
+            ColoredPacking(n, pattern, copies)
+        assert str(got.value) == str(want.value)
+        return
+    p = ColoredPacking(n, pattern, copies)
+    assert "key_color" not in p.__dict__
+    assert p.key_color == {min(c[i], c[j]) * n + max(c[i], c[j]): ci
+                           for ci, c in enumerate(copies) for (i, j) in pattern.edges}
+    assert p.forward == graphs.forward_sets(n, itertools.chain.from_iterable(
+        p.copy_edges(ci) for ci in range(len(copies))))
+
+
 def test_packing_edge_color_is_a_read_only_view():
     p = ColoredPacking(5, SimpleGraph.complete(3), [(0, 1, 2), (4, 0, 3)])
     assert dict(p.edge_color) == {(0, 1): 0, (0, 2): 0, (1, 2): 0,

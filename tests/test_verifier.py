@@ -12,6 +12,7 @@ from rainbowpack import (AuditError, ColoredPacking, GuardError, PackingError,
                          SimpleGraph, behrend_q_free, c5_blowup_packing,
                          find_rainbow, k5_double_pentagon, kt_packing,
                          pentagon_audit)
+from rainbowpack.constructions import perfect_decomposition_check
 from rainbowpack.graphs import embeddings, union_graph
 from rainbowpack.solver import enumerate_copies
 from rainbowpack.verifier import RainbowWitness
@@ -103,6 +104,31 @@ def test_clique_packing_stays_clean():
     assert find_rainbow(p, K3) is None
 
 
+def test_a_counted_pass_never_builds_the_color_map():
+    kt = kt_packing(60, 4, behrend_q_free(60, 2))
+    assert len(kt.edge_color) == 6 * len(kt) > 0
+    for forbidden in (K3, SimpleGraph.complete(4)):
+        assert find_rainbow(kt, forbidden) is None
+    pent = c5_blowup_packing(9)
+    assert find_rainbow(pent, K3) is None
+    assert pentagon_audit(pent).nstar_total == 0
+    assert union_graph(pent).edge_count() == len(pent.edge_color) == 5 * 81
+    perfect_decomposition_check(pent, union_graph(pent))
+    assert "key_color" not in kt.__dict__ and "key_color" not in pent.__dict__
+
+
+def test_a_fail_scan_names_the_lex_min_witness():
+    rng = random.Random(6113)
+    maps = [tuple(rng.sample(range(12), 3)) for _ in range(60)]
+    p = _greedy_packing(12, K3, maps)
+    (u, v, z), _ = naive_rainbow_triangle(ColoredPacking(p.n, K3, p.copies))
+    assert "key_color" not in p.__dict__
+    w = find_rainbow(p, K3)
+    assert "key_color" in p.__dict__
+    assert w.vertices == (u, v, z)
+    w.check(p, K3)
+
+
 def test_find_rainbow_guards():
     p = k5_double_pentagon()
     with pytest.raises(GuardError, match="> 8 vertices"):
@@ -177,7 +203,7 @@ def test_find_rainbow_triangle_matches_lex_min_oracle(pattern, n, data):
     want = naive_rainbow_triangle(p)
     # the triangle count alone decides a PASS, so it must be exact
     col = p.edge_color
-    assert p.union_triangles[1] == sum(
+    assert p.union_triangles == sum(
         1 for (a, b, c) in itertools.combinations(range(n), 3)
         if (a, b) in col and (a, c) in col and (b, c) in col)
     if want is None:
