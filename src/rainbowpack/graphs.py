@@ -18,8 +18,8 @@ from operator import itemgetter
 
 from .errors import GuardError, PackingError
 
-# Every command builds per-vertex adjacency, about 250 bytes a vertex, so a
-# JSON graph or packing may name at most this many vertices (about 250 MB).
+# verify keeps one forward set per vertex, about 225 bytes a vertex, so a
+# JSON graph or packing may name at most this many vertices (about 240 MB).
 _JSON_N_LIMIT = 1_000_000
 # The embedding kernel keeps one bitmask row per host vertex, about
 # (largest neighbor id) / 8 bytes each, so sparse hosts with high ids cost
@@ -120,7 +120,11 @@ class SimpleGraph:
         return sorted(self.edges)
 
     def adjacency(self) -> list[set[int]]:
-        return adjacency(self.n, self.edges)
+        adj: list[set[int]] = [set() for _ in range(self.n)]
+        for (u, v) in self.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        return adj
 
     def degrees(self) -> list[int]:
         deg = [0] * self.n
@@ -173,24 +177,26 @@ def embedded_edges(pattern: SimpleGraph, emb) -> list[tuple[int, int]]:
                    for (u, v) in pattern.edges])
 
 
-def adjacency(n: int, edges) -> list[set[int]]:
-    """Neighbor sets of the graph on 0..n-1 with these edges."""
-    adj: list[set[int]] = [set() for _ in range(n)]
+def bitmask_rows(n: int, edges) -> list[int]:
+    """Bitmask rows (row h: h's neighbors) of the graph on 0..n-1 with these
+    edges; GuardError before any row is built if they pass _ROW_BYTES_LIMIT."""
+    edges = list(edges)
+    top = [0] * n
     for (u, v) in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+        top[u], top[v] = max(top[u], v), max(top[v], u)
+    if sum(top) // 8 > _ROW_BYTES_LIMIT:
+        raise GuardError(f"embeddings guard: host bitmask rows need about "
+                         f"{sum(top) >> 23} MiB, over {_ROW_BYTES_LIMIT >> 20} MiB")
+    rows = [0] * n
+    for (u, v) in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
 
 
-def count_triangles(n: int, edges) -> tuple[list[int], int]:
-    """Degrees and triangle count of the graph on 0..n-1 with these edges,
-    read in one pass."""
-    fwd = forward_sets(n, edges)
-    deg = [len(f) for f in fwd]
-    for f in fwd:
-        for v in f:
-            deg[v] += 1
-    return deg, forward_triangles(fwd)
+def count_triangles(n: int, edges) -> int:
+    """Triangle count of the graph on 0..n-1 with these edges, in one pass."""
+    return forward_triangles(forward_sets(n, edges))
 
 
 def forward_sets(n: int, edges) -> list[set[int]]:
@@ -450,31 +456,24 @@ def placement(small: SimpleGraph, first=()) -> tuple[list[int], list[list[int]]]
     return order, anchors
 
 
-def embeddings(small: SimpleGraph, host_adj: list[set[int]],
-               color: dict | None = None, less=()):
+def embeddings(small: SimpleGraph, rows: list[int], color: dict | None = None, less=()):
     """Every injective edge-preserving map of ``small`` into a host, as an
     iterator of tuples whose entry i is the host vertex carrying small-graph
     vertex i.
 
-    The host is given by its adjacency sets.  With ``color`` (host edge
-    (u, v), u < v, to color) only maps whose edges get pairwise distinct
-    colors are yielded.  Each pair (a, b) in ``less`` keeps only the maps
-    that send a below b (see lex_min_conditions); a vertex that chains of
-    pairs put below j vertices and above i others only tries host vertices
-    with at least j ids above and i below it.  Small-graph vertices are
-    placed in the order of ``placement`` and candidates are tried in
-    ascending order, so maps come out in a fixed order.  GuardError when
-    the host's bitmask rows would need more than _ROW_BYTES_LIMIT bytes.
+    The host is given by its bitmask rows (see bitmask_rows).  With ``color``
+    (edge key a*n + h, a < h, n = len(rows), to color) only maps whose edges
+    get pairwise distinct colors are yielded.  Each pair (a, b) in ``less``
+    keeps only the maps that send a below b (see lex_min_conditions); a vertex
+    that chains of pairs put below j vertices and above i others only tries
+    host vertices with at least j ids above and i below it.  Small-graph
+    vertices are placed in the order of ``placement`` and candidates are tried
+    in ascending order, so maps come out in a fixed order.
     """
-    rows = sum(max(nb) for nb in host_adj if nb) // 8
-    if rows > _ROW_BYTES_LIMIT:
-        raise GuardError(f"embeddings guard: host bitmask rows need about "
-                         f"{rows >> 20} MiB, over {_ROW_BYTES_LIMIT >> 20} MiB")
     order, anchors = placement(small)
     # candidate sets are bitmasks, so the lowest set bit is the next host
     # vertex in ascending order and intersections are single integer ANDs
-    nbr = [sum(1 << w for w in nb) for nb in host_adj]
-    everything = (1 << len(host_adj)) - 1
+    everything = (1 << len(rows)) - 1
     # a position with no placed neighbor tries only host vertices of at
     # least its degree, so isolated host vertices cost nothing; the mask is
     # read from a bit string, which takes linear time where summing shifts
@@ -483,8 +482,8 @@ def embeddings(small: SimpleGraph, host_adj: list[set[int]],
     deg = small.degrees()
     for i, v in enumerate(order):
         if not anchors[i]:
-            start[i] = int("".join("1" if len(nb) >= deg[v] else "0"
-                                   for nb in reversed(host_adj)) or "0", 2)
+            start[i] = int("".join("1" if row.bit_count() >= deg[v] else "0"
+                                   for row in reversed(rows)) or "0", 2)
     bounds = None
     if less:
         # each pair bounds the later-placed of its two vertices
@@ -500,8 +499,8 @@ def embeddings(small: SimpleGraph, host_adj: list[set[int]],
         room = _chain_room(tuple(less))
         for i, v in enumerate(order):
             up, down = room.get(v, (0, 0))
-            start[i] &= ((1 << max(0, len(host_adj) - up)) - 1) & -(1 << down)
-    return plan_embeddings(order, anchors, nbr, start, color, bounds)
+            start[i] &= ((1 << max(0, len(rows) - up)) - 1) & -(1 << down)
+    return plan_embeddings(order, anchors, rows, start, color, bounds)
 
 
 @functools.lru_cache(maxsize=256)
@@ -546,6 +545,7 @@ def plan_embeddings(order: list[int], anchors: list[list[int]], nbr: list[int],
     if not order:
         yield ()
         return
+    n = len(nbr)
     last = len(order) - 1
     image = [-1] * len(order)
     used = 0
@@ -570,7 +570,7 @@ def plan_embeddings(order: list[int], anchors: list[list[int]], nbr: list[int],
             r ^= low
             h = low.bit_length() - 1
             if color is not None:
-                new = {color[(a, h) if a < h else (h, a)] for a in pl}
+                new = {color[a * n + h] if a < h else color[h * n + a] for a in pl}
                 if len(new) < len(pl) or not used_colors.isdisjoint(new):
                     continue
             if i == last:
@@ -613,8 +613,7 @@ def _automorphism_sends(g: SimpleGraph, first, images) -> bool:
     listed (K8 has 40,320 automorphisms).  An automorphism keeps every
     degree, so each other vertex starts from the vertices of its degree.
     """
-    adj = g.adjacency()
-    deg = [len(nb) for nb in adj]
+    deg = g.degrees()
     if any(deg[v] != deg[h] for v, h in zip(first, images)):
         return False
     same_degree: dict[int, int] = {}
@@ -623,8 +622,8 @@ def _automorphism_sends(g: SimpleGraph, first, images) -> bool:
     pinned = dict(zip(first, images))
     order, anchors = placement(g, first)
     start = [1 << pinned[v] if v in pinned else same_degree[deg[v]] for v in order]
-    nbr = [sum(1 << w for w in nb) for nb in adj]
-    return next(plan_embeddings(order, anchors, nbr, start), None) is not None
+    return next(plan_embeddings(order, anchors, bitmask_rows(g.n, g.edges), start),
+                None) is not None
 
 
 def arc_orbit_representatives(g: SimpleGraph) -> list[tuple[int, int]]:

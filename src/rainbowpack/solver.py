@@ -37,8 +37,8 @@ from operator import itemgetter
 
 from .errors import GuardError
 from .graphs import (ColoredPacking, SimpleGraph, _norm_edge,
-                     arc_orbit_representatives, embedded_edges, embeddings,
-                     lex_min_conditions, placement, plan_embeddings)
+                     arc_orbit_representatives, bitmask_rows, embedded_edges,
+                     embeddings, lex_min_conditions, placement, plan_embeddings)
 from .verifier import check_forbidden
 
 _SOLVER_N_LIMIT = 12
@@ -89,7 +89,7 @@ def enumerate_copy_edges(n: int, pattern: SimpleGraph,
         index = {v: j for j, v in enumerate(spots)}
         core = SimpleGraph(len(spots), frozenset(
             (index[u], index[v]) for (u, v) in pattern.edges))
-    walk = embeddings(core, host.adjacency(), less=lex_min_conditions(core))
+    walk = embeddings(core, bitmask_rows(n, host.edges), less=lex_min_conditions(core))
     copies = list(itertools.islice(walk, limit))
     if next(walk, None) is not None:
         raise GuardError(f"enumerate_copies guard: copies exceed {limit}")
@@ -160,8 +160,8 @@ class _SubSolver:
     e, so an include costs e(F) ANDs and the exclude walk can jump to the
     next set bit instead of visiting each clashing copy.  The union itself,
     read only by the rainbow checks, is ``nbr[u]`` (a bitmask of u's union
-    neighbors) plus ``col`` (union edge to the index of its copy in the
-    packing).
+    neighbors) plus ``col`` (key u*n + v of union edge (u, v), u < v, to
+    the index of its copy in the packing), the embedding kernel's form.
     """
 
     def __init__(self, n: int, forbidden: SimpleGraph | None, cap: int,
@@ -199,7 +199,7 @@ class _SubSolver:
         self.avail = self.everything
         self.avail_stack: list[int] = []
         self.nbr = [0] * self.n
-        self.col: dict[tuple[int, int], int] = {}
+        self.col: dict[int, int] = {}
         optimal = True
         try:
             self.nodes += 1
@@ -251,6 +251,7 @@ class _SubSolver:
 
     def _include(self, idx: int) -> bool:
         edges = self.copy_edges[idx]
+        n = self.n
         nbr = self.nbr
         col = self.col
         if self.fast_triangle:
@@ -262,13 +263,13 @@ class _SubSolver:
                     low = common & -common
                     common ^= low
                     z = low.bit_length() - 1
-                    if (col[(u, z) if u < z else (z, u)]
-                            != col[(v, z) if v < z else (z, v)]):
+                    if (col[u * n + z if u < z else z * n + u]
+                            != col[v * n + z if v < z else z * n + v]):
                         return False
         if self.forbidden is not None:  # the union is read only by the checks
             color = len(self.chosen)
             for (u, v) in edges:
-                col[(u, v)] = color
+                col[u * n + v] = color
                 nbr[u] |= 1 << v
                 nbr[v] |= 1 << u
         self.avail_stack.append(self.avail)
@@ -303,7 +304,7 @@ class _SubSolver:
         if self.forbidden is not None:
             nbr = self.nbr
             for (u, v) in self.copy_edges[idx]:
-                del self.col[(u, v)]
+                del self.col[u * self.n + v]
                 nbr[u] &= ~(1 << v)
                 nbr[v] &= ~(1 << u)
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AuditError, GuardError
-from .graphs import (ColoredPacking, SimpleGraph, _norm_edge, adjacency,
+from .graphs import (ColoredPacking, SimpleGraph, _norm_edge, bitmask_rows,
                      count_triangles, embeddings)
 
 
@@ -107,21 +107,21 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     bitmask rows; the count never changes which witness is named.
     """
     check_forbidden(forbidden)
-    if count_triangles(forbidden.n, forbidden.edges)[1] > 0:
+    if count_triangles(forbidden.n, forbidden.edges) > 0:
         pattern = packing.pattern
         if packing.union_triangles == (
-                count_triangles(pattern.n, pattern.edges)[1] * len(packing)):
+                count_triangles(pattern.n, pattern.edges) * len(packing)):
             return None
     if forbidden.is_cycle(3):
         return _find_rainbow_triangle(packing)
-    col = dict(packing.edge_color)
-    verts = next(embeddings(forbidden, adjacency(packing.n, col), color=col), None)
+    rows = bitmask_rows(packing.n, packing.union_edges())  # guarded before colors
+    verts = next(embeddings(forbidden, rows, color=packing.key_color), None)
     if verts is None:
         return None
     edges = []
     for (gu, gv) in forbidden.sorted_edges():
-        e = _norm_edge(verts[gu], verts[gv])
-        edges.append(((gu, gv), e, col[e]))
+        (a, b) = _norm_edge(verts[gu], verts[gv])
+        edges.append(((gu, gv), (a, b), packing.key_color[a * packing.n + b]))
     return RainbowWitness(verts, tuple(edges))
 
 

@@ -276,8 +276,8 @@ def test_error_paths_exit_1(capsys, monkeypatch, tmp_path):
 
 
 def test_huge_vertex_counts_in_json_are_rejected_fast(capsys, tmp_path):
-    # a three-edge file naming 10^8 vertices would ask for about 25 GB of
-    # adjacency sets; the JSON decoders refuse it before anything is built
+    # a three-edge packing naming 10^8 vertices would ask verify for about
+    # 22 GB of forward sets; the JSON decoders refuse it before anything is built
     k3 = {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
     graph = tmp_path / "huge-graph.json"
     graph.write_text(json.dumps(dict(k3, n=10**8)))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from rainbowpack import (GuardError, SearchConfig, SimpleGraph,
                          enumerate_copies, find_rainbow,
                          max_rainbow_free_packing, oracle_max_packing, solver)
-from rainbowpack.graphs import canonical_json, embeddings
+from rainbowpack.graphs import bitmask_rows, canonical_json, embeddings
 from rainbowpack.solver import _naive_copies, _naive_rainbow_scan
 
 K3 = SimpleGraph.complete(3)
@@ -88,7 +88,8 @@ def test_enumerate_copies_walks_one_embedding_per_copy(monkeypatch):
         walked.clear()
         copies = enumerate_copies(8, pattern)
         assert len(walked) == len(copies), pattern
-        assert len(list(embeddings(pattern, k8.adjacency()))) == len(copies) * automorphisms
+        rows = bitmask_rows(8, k8.edges)
+        assert len(list(embeddings(pattern, rows))) == len(copies) * automorphisms
         assert copies == _naive_copies(pattern, k8), pattern
     # isolated vertices: the walk covers the pattern without them
     for pattern in (K3_PLUS_VERTEX, VERTEX_PLUS_K3, TWO_K2, THREE_K2):
@@ -429,8 +430,7 @@ DIAMOND = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
 
 def _whole_union_check(self, edges):
     # the kernel over the whole union, with no pin
-    adj = [{w for w in range(self.n) if row >> w & 1} for row in self.nbr]
-    return next(embeddings(self.forbidden, adj, color=self.col), None) is not None
+    return next(embeddings(self.forbidden, self.nbr, color=self.col), None) is not None
 
 
 @settings(max_examples=150, deadline=None)

@@ -13,7 +13,8 @@ from rainbowpack import (AuditError, ColoredPacking, GuardError, PackingError,
                          find_rainbow, k5_double_pentagon, kt_packing,
                          pentagon_audit)
 from rainbowpack.constructions import perfect_decomposition_check
-from rainbowpack.graphs import embeddings, union_graph
+from rainbowpack import graphs
+from rainbowpack.graphs import bitmask_rows, embeddings, union_graph
 from rainbowpack.solver import enumerate_copies
 from rainbowpack.verifier import RainbowWitness
 
@@ -148,6 +149,16 @@ def test_find_rainbow_refuses_sparse_hosts_with_oversized_kernel_rows():
         find_rainbow(p, SimpleGraph.cycle(4))
 
 
+def test_find_rainbow_guards_the_rows_before_building_the_color_map(monkeypatch):
+    # 100 disjoint triangles over 3,000 vertices: the rows need about 56 KB
+    p = ColoredPacking(3000, K3, [(30 * i, 30 * i + 1, 30 * i + 29)
+                                  for i in range(100)])
+    monkeypatch.setattr(graphs, "_ROW_BYTES_LIMIT", 1000)
+    with pytest.raises(GuardError, match="embeddings guard"):
+        find_rainbow(p, SimpleGraph.cycle(4))
+    assert "key_color" not in p.__dict__
+
+
 def _random_packing(rng: random.Random, n: int, pattern: SimpleGraph) -> ColoredPacking:
     """Greedy edge-disjoint packing over a shuffled copy list; may well
     contain rainbow subgraphs, which is the point."""
@@ -247,7 +258,9 @@ def test_find_rainbow_matches_kernel_and_naive_oracle(pattern, forbidden, n, per
         return
     # a witness is the kernel's first rainbow map, whether or not a count ran
     col = p.edge_color
-    verts = next(embeddings(forbidden, union_graph(p).adjacency(), color=col))
+    rows = bitmask_rows(n, union_graph(p).edges)
+    key_color = {u * n + v: c for (u, v), c in col.items()}
+    verts = next(embeddings(forbidden, rows, color=key_color))
     want = []
     for (gu, gv) in forbidden.sorted_edges():
         e = tuple(sorted((verts[gu], verts[gv])))
