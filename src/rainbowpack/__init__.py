@@ -24,7 +24,7 @@ from .optimizer import (WeightTriple, c5_decomposition_coeff, class_ratios,
                         density, maximize_density, reference_triple,
                         solve_abg, upper_bound_coeff)
 from .solver import (SearchConfig, SearchResult, enumerate_copies,
-                     max_rainbow_free_packing, oracle_max_packing)
+                     max_rainbow_free_packing)
 from .verifier import (PentagonAudit, RainbowWitness, find_rainbow,
                        pentagon_audit)
 
@@ -66,7 +66,6 @@ __all__ = [
     "max_q_free_bruteforce",
     "max_rainbow_free_packing",
     "maximize_density",
-    "oracle_max_packing",
     "pentagon_audit",
     "perfect_decomposition_check",
     "reference_triple",

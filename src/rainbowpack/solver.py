@@ -8,25 +8,26 @@ copies that share no edge with the packing lets the walk jump to the next
 copy that fits; every copy index it passes still counts as one node.
 A copy that would create a rainbow copy of the forbidden graph G is
 rejected when it is included.  Value pruning stops the walk once the
-incumbent reaches the cap: the copies that fit into the host's edges and,
-for F = K_t under G = K3, the clique cap of _clique_cap.
+incumbent reaches the cap of _value_cap: the copies that fit into the
+host's edges, the vertex cap, and, for F = K_t under G = K3, the clique
+cap of _clique_cap.  The incumbent is replaced only by a strictly larger
+packing and the cap is at least the optimum, so the cap never changes
+the value or the witness, only where the walk may stop.
 The check looks only at the new copy's edges: every accepted include
 passed it, so the union had no rainbow G before; the new edges share one
 color, so a new rainbow G uses exactly one of them; and pinning one arc
 from each Aut(G)-orbit of G's arcs to each new edge (u, v), u < v, finds
 it.  A triangle is tested before the copy is placed, through the common
 neighbors of each new edge's ends; any other G runs the embedding kernel
-with the pin.
+with the pin.  A rainbow G has e(G) edges of distinct colors, so neither
+check runs while the packing, new copy included, has fewer than e(G)
+copies.
 The tree is split into subproblems keyed by the first included copy, each
 of the k of them with budget // (k + 1) nodes, so a search stops after
 about k/(k + 1) of the budget (half under symmetry breaking, which keeps
 one subproblem).  They are solved in order against one incumbent that
 only a strictly larger packing replaces, so the result is bitwise
 identical from run to run.
-
-oracle_max_packing is the deliberately naive cross-check: copies from
-plain vertex permutations, full subset enumeration and a from-scratch
-rainbow scan, no shared code with the branch-and-bound path.
 """
 
 from __future__ import annotations
@@ -36,18 +37,21 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import GuardError
-from .graphs import (ColoredPacking, SimpleGraph, _norm_edge,
-                     arc_orbit_representatives, bitmask_rows, embedded_edges,
-                     embeddings, lex_min_conditions, placement, plan_embeddings)
+from .graphs import (ColoredPacking, SimpleGraph, arc_orbit_representatives,
+                     bitmask_rows, embedded_edges, embeddings, lex_min_conditions,
+                     placement, plan_embeddings)
 from .verifier import check_forbidden
 
 _SOLVER_N_LIMIT = 12
-_ORACLE_COPY_LIMIT = 24
 # copies enumerate_copies finds before it gives up, also the cap on
 # max_copies: the kernel walks one embedding per copy, so C12 in K12 (about
 # 2*10^7 copies) is refused after 10^6.  The largest inputs the tests and
 # benchmark use have under 10^4 (C5 in K12: 9,504).
 _EMBEDDING_LIMIT = 1_000_000
+# copies the solver takes, refused before the 10^6 tuples of _EMBEDDING_LIMIT
+# are kept: its keep[e] bitsets cost host edges x copies bits.  C6 in K12,
+# the largest pattern it is known to take, has 55,440
+_SOLVER_COPY_LIMIT = 100_000
 
 
 def enumerate_copies(n: int, pattern: SimpleGraph,
@@ -174,6 +178,8 @@ class _SubSolver:
         self.budget = budget
         self.n_copies = len(copy_edges)
         self.cap = cap  # no packing has more copies
+        # a rainbow G takes one edge from each of e(G) copies
+        self.rainbow_edges = forbidden.edge_count() if forbidden is not None else 0
         self.fast_triangle = forbidden is not None and forbidden.is_cycle(3)
         self.generic = forbidden is not None and not self.fast_triangle
         if self.generic:
@@ -254,7 +260,8 @@ class _SubSolver:
         n = self.n
         nbr = self.nbr
         col = self.col
-        if self.fast_triangle:
+        check = len(self.chosen) + 1 >= self.rainbow_edges
+        if self.fast_triangle and check:
             # a rainbow triangle through a new edge has its other two edges
             # already placed, in two different colors
             for (u, v) in edges:
@@ -276,7 +283,7 @@ class _SubSolver:
         for e in self.edge_ids[idx]:
             self.avail &= self.keep[e]
         self.chosen.append(idx)
-        if self.generic and self._makes_rainbow(edges):
+        if self.generic and check and self._makes_rainbow(edges):
             self._undo(idx)
             return False
         return True
@@ -322,7 +329,7 @@ def max_rainbow_free_packing(cfg: SearchConfig) -> SearchResult:
     if cfg.forbidden is not None:
         check_forbidden(cfg.forbidden)
     host = cfg.host if cfg.host is not None else SimpleGraph.complete(cfg.n)
-    found = enumerate_copy_edges(cfg.n, cfg.pattern, host)
+    found = enumerate_copy_edges(cfg.n, cfg.pattern, host, _SOLVER_COPY_LIMIT)
     copies = [emb for emb, _ in found]
     copy_edges = [edges for _, edges in found]
     host_edges = host.sorted_edges()
@@ -333,12 +340,7 @@ def max_rainbow_free_packing(cfg: SearchConfig) -> SearchResult:
     firsts = ([0] if copies else []) if symmetric_ground else list(range(len(copies)))
     budget_per = max(1, cfg.node_budget // (len(firsts) + 1))
 
-    t, e_f = cfg.pattern.n, cfg.pattern.edge_count()
-    cap = len(host_edges) // e_f
-    # F = K_t and G = K3
-    if (t >= 3 and e_f == t * (t - 1) // 2 and copies and cfg.forbidden is not None
-            and cfg.forbidden.is_cycle(3)):
-        cap = min(cap, _clique_cap(t, len({v for emb in copies for v in emb})))
+    cap = _value_cap(cfg.pattern, cfg.forbidden, host, copies)
     sub = _SubSolver(cfg.n, cfg.forbidden, cap, copy_edges,
                      edge_ids, len(host_edges), budget_per)
     runs = [sub.run(first) for first in firsts]
@@ -346,6 +348,37 @@ def max_rainbow_free_packing(cfg: SearchConfig) -> SearchResult:
     nodes = sum(sub_nodes for (_, sub_nodes) in runs)
     packing = ColoredPacking(cfg.n, cfg.pattern, [copies[i] for i in sub.best_chosen])
     return SearchResult(sub.best_value, packing, optimal, nodes)
+
+
+def _value_cap(pattern: SimpleGraph, forbidden: SimpleGraph | None,
+               host: SimpleGraph, copies: list[tuple[int, ...]]) -> int:
+    """No rainbow-free packing of the pattern's copies in the host has
+    more copies than this: the least of the edge cap e(H) // e(F), the
+    vertex cap of _vertex_cap and, for F = K_t (t >= 3) under G = K3, the
+    clique cap of _clique_cap on the vertices that lie on some copy."""
+    t, e_f = pattern.n, pattern.edge_count()
+    cap = min(host.edge_count() // e_f, _vertex_cap(pattern, host))
+    if (t >= 3 and e_f == t * (t - 1) // 2 and copies and forbidden is not None
+            and forbidden.is_cycle(3)):
+        cap = min(cap, _clique_cap(t, len({v for emb in copies for v in emb})))
+    return cap
+
+
+def _vertex_cap(pattern: SimpleGraph, host: SimpleGraph) -> int:
+    """Most edge-disjoint copies of the pattern F in the host H by the
+    degree count (Schonheim 1966 for K3 in K_n).
+
+    Each copy puts its f non-isolated vertices on f distinct host vertices,
+    and each of them takes at least delta, the least positive degree of F,
+    of that host vertex's edges.  So host vertex v lies on at most
+    d_H(v) // delta copies, and f * T <= sum of d_H(v) // delta.  For K3 in
+    K_n this is floor(n/3 * floor((n - 1)/2)).  For regular F it is never
+    above the edge cap, and bounding a node by its free degrees instead
+    gives the same cap at every node, so the static cap loses nothing.
+    """
+    deg = [d for d in pattern.degrees() if d]
+    least = min(deg)
+    return sum(d // least for d in host.degrees()) // len(deg)
 
 
 def _clique_cap(t: int, n: int) -> int:
@@ -369,74 +402,3 @@ def _clique_cap(t: int, n: int) -> int:
         if r * (q + 1) ** 2 + (n - r) * q * q > (copies + 1) * limit:
             return copies
         copies += 1
-
-
-def _naive_copies(pattern: SimpleGraph, host: SimpleGraph) -> list[tuple[int, ...]]:
-    """Unoptimized copy enumeration used only by the oracle.
-
-    Tries every injective vertex tuple in lexicographic order and keeps the
-    first, hence smallest, tuple per edge set; sorted like enumerate_copies.
-    """
-    first: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
-    for perm in itertools.permutations(range(host.n), pattern.n):
-        key = tuple(sorted(_norm_edge(perm[u], perm[v]) for (u, v) in pattern.edges))
-        if key not in first and all(e in host.edges for e in key):
-            first[key] = perm
-    return [first[key] for key in sorted(first)]
-
-
-def _naive_rainbow_scan(n: int, col: dict, forbidden: SimpleGraph) -> bool:
-    """Unoptimized rainbow check used only by the oracle."""
-    f_edges = forbidden.sorted_edges()
-    for perm in itertools.permutations(range(n), forbidden.n):
-        colors = []
-        ok = True
-        for (u, v) in f_edges:
-            e = _norm_edge(perm[u], perm[v])
-            if e not in col:
-                ok = False
-                break
-            colors.append(col[e])
-        if ok and len(set(colors)) == len(colors):
-            return True
-    return False
-
-
-def oracle_max_packing(n: int, pattern: SimpleGraph,
-                       forbidden: SimpleGraph | None) -> tuple[int, ColoredPacking]:
-    """Reference answer by full subset enumeration, guarded to 24 copies.
-
-    Scans subset sizes from largest to smallest in lexicographic order and
-    returns the first feasible subset, which is also the lexicographically
-    smallest optimal witness.
-    """
-    if n > _SOLVER_N_LIMIT:
-        raise GuardError(f"oracle guard: n={n} exceeds {_SOLVER_N_LIMIT}")
-    if pattern.edge_count() == 0:
-        raise ValueError("pattern needs at least one edge")
-    copies = _naive_copies(pattern, SimpleGraph.complete(n))
-    if len(copies) > _ORACLE_COPY_LIMIT:
-        raise GuardError(
-            f"oracle guard: {len(copies)} copies exceed {_ORACLE_COPY_LIMIT}")
-    copy_edges = [
-        sorted(_norm_edge(emb[u], emb[v]) for (u, v) in pattern.edges)
-        for emb in copies
-    ]
-    for r in range(len(copies), 0, -1):
-        for combo in itertools.combinations(range(len(copies)), r):
-            col: dict[tuple[int, int], int] = {}
-            clash = False
-            for ci in combo:
-                for e in copy_edges[ci]:
-                    if e in col:
-                        clash = True
-                        break
-                    col[e] = ci
-                if clash:
-                    break
-            if clash:
-                continue
-            if forbidden is not None and _naive_rainbow_scan(n, col, forbidden):
-                continue
-            return (r, ColoredPacking(n, pattern, [copies[i] for i in combo]))
-    return (0, ColoredPacking(n, pattern, []))

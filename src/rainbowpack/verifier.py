@@ -94,10 +94,12 @@ def check_forbidden(forbidden: SimpleGraph) -> None:
 def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     """First rainbow copy of the forbidden graph, or None.
 
-    The forbidden graph must be connected with at most 8 vertices.  When
-    it contains a triangle, None comes without a search when the union has
-    no triangles besides the t_F triangles of each copy: every rainbow copy
-    of G holds a rainbow triangle, and there is none (see the module
+    The forbidden graph must be connected with at most 8 vertices.  A
+    packing with fewer copies than G has edges holds no rainbow G, as a
+    rainbow copy shows e(G) distinct colors, so it gets None at once.
+    When G contains a triangle, None comes without a search when the union
+    has no triangles besides the t_F triangles of each copy: every rainbow
+    copy of G holds a rainbow triangle, and there is none (see the module
     docstring).  Otherwise, for a triangle, a scan walks the union's edges
     in ascending order on the packing's forward sets, so the witness
     is the lexicographically smallest rainbow triangle, and the scan
@@ -107,6 +109,8 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     bitmask rows; the count never changes which witness is named.
     """
     check_forbidden(forbidden)
+    if len(packing) < forbidden.edge_count():  # fewer colors than a rainbow G has
+        return None
     if count_triangles(forbidden.n, forbidden.edges) > 0:
         pattern = packing.pattern
         if packing.union_triangles == (

@@ -16,9 +16,10 @@ from rainbowpack import (SearchConfig, SimpleGraph, blow_up,
                          find_rainbow, k5_double_pentagon, kt_packing,
                          lp_fractional_packing, max_q_free_bruteforce,
                          max_rainbow_free_packing, maximize_density,
-                         oracle_max_packing, pentagon_audit,
+                         pentagon_audit,
                          perfect_decomposition_check, reference_triple,
                          upper_bound_coeff, verify_q_free)
+from naive_oracle import oracle_max_packing
 
 K3 = SimpleGraph.complete(3)
 K4 = SimpleGraph.complete(4)

@@ -315,6 +315,10 @@ def test_oversized_searches_are_rejected(capsys, monkeypatch):
         assert time.perf_counter() - t0 < 1.0, argv
         assert (code, out) == (1, ""), argv
         assert err.startswith("error:") and "behrend_q_free guard" in err, argv
+    # the solver takes at most 10^5 copies, C12 in K12 has about 2*10^7
+    code, out, err = run(capsys, ["solve", "--n", "12", "--F", "c12", "--G", "k3"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "copies exceed 100000" in err
     # copy enumeration stops at _EMBEDDING_LIMIT copies (lowered here so the
     # test stays fast): C6 in K12 has 55,440 copies, and K9/C5 has 1,512,
     # under the LP's own 2000

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from rainbowpack import (GuardError, SearchConfig, SimpleGraph,
                          enumerate_copies, find_rainbow,
-                         max_rainbow_free_packing, oracle_max_packing, solver)
+                         max_rainbow_free_packing, solver)
 from rainbowpack.graphs import bitmask_rows, canonical_json, embeddings
-from rainbowpack.solver import _naive_copies, _naive_rainbow_scan
+from naive_oracle import naive_copies, naive_rainbow_scan, oracle_max_packing
 
 K3 = SimpleGraph.complete(3)
 K4 = SimpleGraph.complete(4)
@@ -90,13 +90,23 @@ def test_enumerate_copies_walks_one_embedding_per_copy(monkeypatch):
         assert len(walked) == len(copies), pattern
         rows = bitmask_rows(8, k8.edges)
         assert len(list(embeddings(pattern, rows))) == len(copies) * automorphisms
-        assert copies == _naive_copies(pattern, k8), pattern
+        assert copies == naive_copies(pattern, k8), pattern
     # isolated vertices: the walk covers the pattern without them
     for pattern in (K3_PLUS_VERTEX, VERTEX_PLUS_K3, TWO_K2, THREE_K2):
         walked.clear()
         copies = enumerate_copies(8, pattern)
         assert len(walked) == len(copies), pattern
-        assert copies == _naive_copies(pattern, k8), pattern
+        assert copies == naive_copies(pattern, k8), pattern
+
+
+def test_solver_copy_cap(monkeypatch):
+    # K3 in K5 has 10 copies; the solver's own cap is the lower one
+    cfg = SearchConfig(n=5, pattern=K3, forbidden=K3)
+    monkeypatch.setattr(solver, "_SOLVER_COPY_LIMIT", 10)
+    assert max_rainbow_free_packing(cfg).value == 2
+    monkeypatch.setattr(solver, "_SOLVER_COPY_LIMIT", 9)
+    with pytest.raises(GuardError, match="copies exceed 9"):
+        max_rainbow_free_packing(cfg)
 
 
 def test_enumerate_copies_copy_cap():
@@ -124,7 +134,7 @@ def test_enumerate_copies_matches_naive_enumeration(n, pattern, data):
     else:
         keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     host = SimpleGraph(n, frozenset(e for e, k in zip(pairs, keep) if k))
-    assert enumerate_copies(n, pattern, host) == _naive_copies(pattern, host)
+    assert enumerate_copies(n, pattern, host) == naive_copies(pattern, host)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -132,10 +142,10 @@ def test_enumerate_copies_of_k_k_in_k_k_plus_2(k):
     # K_k's lex-min pairs chain all k vertices, so the chain prune leaves
     # vertex i of K_k only the host ids i, i + 1 and i + 2
     host = SimpleGraph.complete(k + 2)
-    assert enumerate_copies(k + 2, SimpleGraph.complete(k)) == _naive_copies(
+    assert enumerate_copies(k + 2, SimpleGraph.complete(k)) == naive_copies(
         SimpleGraph.complete(k), host)
     minus = SimpleGraph(k + 2, host.edges - {(0, k + 1)})
-    assert enumerate_copies(k + 2, SimpleGraph.complete(k), minus) == _naive_copies(
+    assert enumerate_copies(k + 2, SimpleGraph.complete(k), minus) == naive_copies(
         SimpleGraph.complete(k), minus)
 
 
@@ -316,7 +326,44 @@ def test_clique_cap_keeps_values_and_witnesses(n, pattern, data):
     assert capped.nodes <= uncapped.nodes
     if capped.optimal and uncapped.optimal:
         assert _fingerprint(capped)[3] == _fingerprint(uncapped)[3]
-    assert not _naive_rainbow_scan(n, capped.packing.edge_color, K3)
+    assert not naive_rainbow_scan(n, capped.packing.edge_color, K3)
+
+
+def _without_counting_facts(mp):
+    # the edge cap alone for the vertex cap, and a rainbow check on every
+    # include, however few copies the packing holds
+    mp.setattr(solver, "_vertex_cap", lambda pattern, host: host.edge_count())
+    init = solver._SubSolver.__init__
+
+    def check_every_include(self, *args):
+        init(self, *args)
+        self.rainbow_edges = 0
+
+    mp.setattr(solver._SubSolver, "__init__", check_every_include)
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(3, 8), pattern=st.sampled_from([K3, C4, C5, P3]),
+       forbidden=st.sampled_from([K3, C4, C5, P4, None]), data=st.data())
+def test_vertex_cap_and_color_gate_keep_values_and_witnesses(n, pattern, forbidden, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    host = SimpleGraph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+    cfg = SearchConfig(n=n, pattern=pattern, forbidden=forbidden, host=host,
+                       node_budget=20_000)
+    res = max_rainbow_free_packing(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        _without_counting_facts(mp)
+        plain = max_rainbow_free_packing(cfg)
+    # the walk is the same up to where the incumbent meets the cap, so a
+    # budget can cut only the plain run short; it then keeps the same best
+    assert (res.value, _fingerprint(res)[3]) == (plain.value, _fingerprint(plain)[3])
+    assert res.optimal >= plain.optimal and res.nodes <= plain.nodes
+    copies = len(enumerate_copies(n, pattern, host))
+    if copies <= 16:
+        assert res.optimal
+        value, packing = oracle_max_packing(n, pattern, forbidden, host)
+        assert (res.value, res.packing.copies) == (value, packing.copies)
 
 
 # (value, optimal, nodes, sha256 of the packing JSON).  Nodes count every
@@ -325,7 +372,9 @@ def test_clique_cap_keeps_values_and_witnesses(n, pattern, data):
 # The budget-cut rows stop inside a run of clashing copies, so they pin the
 # bulk node count and the position of the cut exactly.  The K3/K3 and K4/K3
 # rows end where the incumbent reaches the clique cap, the K3/K3 n = 8 rows
-# and the _HOST8 row well inside their budgets.
+# and the _HOST8 row well inside their budgets.  The K3/none n = 8, K3/C5
+# n = 6 and Petersen rows end at the vertex cap (8, 4 and 2); the K3/C5 row
+# runs no rainbow check at all, as a rainbow C5 needs five copies.
 _HOST8 = SimpleGraph.from_edges(
     8, [(u, v) for u in range(8) for v in range(u + 1, 8) if (5 * u + 3 * v) % 7])
 GOLDEN_SOLVES = [
@@ -346,19 +395,19 @@ GOLDEN_SOLVES = [
     (dict(n=7, pattern=K3, forbidden=C4, node_budget=700),
      (4, False, 351, "b17b01d6bd8ec1366caf8ff5830a9b2562a4c7859f0eac351e344f87d4a568e7")),
     (dict(n=6, pattern=K3, forbidden=C5),
-     (4, True, 130, "3acddfa608ecfb3d5297842d09ff5997f6ede0934d73cc05f92a02ba8f81bf90")),
+     (4, True, 23, "3acddfa608ecfb3d5297842d09ff5997f6ede0934d73cc05f92a02ba8f81bf90")),
     (dict(n=7, pattern=K3, forbidden=P4),
      (3, True, 408, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
     (dict(n=7, pattern=K3, forbidden=PAW, node_budget=3000),
      (4, False, 1501, "42315dc0b617f2bc8a7ff37491aae09f0eef8e3944e5c33bae8e424260541ae5")),
     (dict(n=8, pattern=K3, forbidden=None, node_budget=1000),
-     (8, False, 501, "86cbc5bbb57f6a9d63e46cd3f1865ba264fe185bccb933e7ec6c903dbd3f9294")),
+     (8, True, 390, "86cbc5bbb57f6a9d63e46cd3f1865ba264fe185bccb933e7ec6c903dbd3f9294")),
     (dict(n=7, pattern=K4, forbidden=K3),
      (2, True, 22, "388de8ac22b5494c75dfada1f56e88a222e17d1fb18168ed99d2f4737f17e90e")),
     (dict(n=7, pattern=C4, forbidden=K3),
      (2, True, 1547, "f258a0f60e824ed114dbeef3a1010e90a25e4286ecdd70408bb9dafbbd0761ad")),
     (dict(n=10, pattern=C5, forbidden=K3, host=SimpleGraph.petersen()),
-     (2, True, 101, "fc9b351bceff287fb62c78d4c230f7d9a5f542afb61ad7cb651464161c2f8c2a")),
+     (2, True, 36, "fc9b351bceff287fb62c78d4c230f7d9a5f542afb61ad7cb651464161c2f8c2a")),
     (dict(n=8, pattern=K3, forbidden=K3, host=_HOST8, node_budget=4000),
      (4, True, 116, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
     # without the clique cap these took 85,804 and 2,082,057 nodes
@@ -401,7 +450,7 @@ def test_deep_search_needs_no_deep_stack(n):
     finally:
         sys.setrecursionlimit(old)
     assert not res.optimal and res.value >= 1
-    assert not _naive_rainbow_scan(n, res.packing.edge_color, K3)
+    assert not naive_rainbow_scan(n, res.packing.edge_color, K3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -420,7 +469,7 @@ def test_triangle_check_matches_the_embedding_kernel(n, pattern, data):
         mp.setattr(SimpleGraph, "is_cycle", lambda self, k: False)
         generic = max_rainbow_free_packing(cfg)
     assert _fingerprint(fast) == _fingerprint(generic)
-    assert not _naive_rainbow_scan(n, fast.packing.edge_color, K3)
+    assert not naive_rainbow_scan(n, fast.packing.edge_color, K3)
 
 
 BULL = SimpleGraph.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)])
@@ -451,7 +500,7 @@ def test_anchored_check_matches_the_whole_union_check(n, pattern, forbidden, dat
         mp.setattr(solver._SubSolver, "_makes_rainbow", _whole_union_check)
         whole = max_rainbow_free_packing(cfg)
     assert _fingerprint(anchored) == _fingerprint(whole)
-    assert not _naive_rainbow_scan(n, anchored.packing.edge_color, forbidden)
+    assert not naive_rainbow_scan(n, anchored.packing.edge_color, forbidden)
 
 
 def test_forbidden_graph_guards():

@@ -16,7 +16,7 @@ from rainbowpack.constructions import perfect_decomposition_check
 from rainbowpack import graphs
 from rainbowpack.graphs import bitmask_rows, embeddings, union_graph
 from rainbowpack.solver import enumerate_copies
-from rainbowpack.verifier import RainbowWitness
+from rainbowpack.verifier import RainbowWitness, _find_rainbow_triangle
 
 K3 = SimpleGraph.complete(3)
 C5 = SimpleGraph.cycle(5)
@@ -267,6 +267,36 @@ def test_find_rainbow_matches_kernel_and_naive_oracle(pattern, forbidden, n, per
         want.append(((gu, gv), e, col[e]))
     assert w == RainbowWitness(verts, tuple(want))
     w.check(p, forbidden)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pattern=st.sampled_from([K3, P3, SimpleGraph.cycle(4), C5]),
+       forbidden=st.sampled_from([K3, SimpleGraph.cycle(4), C5, SimpleGraph.path(4),
+                                  SimpleGraph.complete(4)]),
+       n=st.integers(5, 9), perms=st.lists(st.permutations(range(9)), max_size=16),
+       data=st.data())
+@example(pattern=P3, forbidden=SimpleGraph.cycle(4), n=9,
+         perms=RAINBOW_WITHOUT_TRIANGLES, data=None)
+def test_find_rainbow_needs_as_many_copies_as_g_has_edges(pattern, forbidden, n,
+                                                          perms, data):
+    # packings of 0 to e(G) copies: below e(G) there are too few colors for
+    # a rainbow G, and at e(G) find_rainbow names what the search names
+    maps = [tuple(v for v in perm if v < n)[:pattern.n] for perm in perms]
+    whole = _greedy_packing(n, pattern, maps)
+    size = forbidden.edge_count()
+    if data is not None:
+        size = data.draw(st.integers(0, size))
+    p = ColoredPacking(n, pattern, whole.copies[:size])
+    w = find_rainbow(p, forbidden)
+    if forbidden.is_cycle(3):
+        want = _find_rainbow_triangle(p)
+    else:
+        want = next(embeddings(forbidden, bitmask_rows(n, p.union_edges()),
+                               color=p.key_color), None)
+        w = None if w is None else w.vertices
+    if len(p) < forbidden.edge_count():
+        assert want is None
+    assert w == want
 
 
 def test_audit_blowup_numbers():
