@@ -1,4 +1,4 @@
-"""Exact branch-and-bound solver and its naive cross-check oracle."""
+"""Exact branch-and-bound solver, checked against the naive oracle of naive_oracle.py."""
 
 import hashlib
 import sys
@@ -359,8 +359,8 @@ def test_vertex_cap_and_color_gate_keep_values_and_witnesses(n, pattern, forbidd
     # budget can cut only the plain run short; it then keeps the same best
     assert (res.value, _fingerprint(res)[3]) == (plain.value, _fingerprint(plain)[3])
     assert res.optimal >= plain.optimal and res.nodes <= plain.nodes
-    copies = len(enumerate_copies(n, pattern, host))
-    if copies <= 16:
+    # the oracle walks every subset, which took 6 to 30 s at 21 to 24 copies
+    if len(enumerate_copies(n, pattern, host)) <= 16:
         assert res.optimal
         value, packing = oracle_max_packing(n, pattern, forbidden, host)
         assert (res.value, res.packing.copies) == (value, packing.copies)
