@@ -12,7 +12,7 @@ import functools
 import itertools
 import json
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -456,19 +456,21 @@ def placement(small: SimpleGraph, first=()) -> tuple[list[int], list[list[int]]]
     return order, anchors
 
 
-def embeddings(small: SimpleGraph, rows: list[int], color: dict | None = None, less=()):
+def embeddings(small: SimpleGraph, rows: list[int],
+               color: Sequence[int] | Mapping[int, int] | None = None, less=()):
     """Every injective edge-preserving map of ``small`` into a host, as an
     iterator of tuples whose entry i is the host vertex carrying small-graph
     vertex i.
 
     The host is given by its bitmask rows (see bitmask_rows).  With ``color``
-    (edge key a*n + h, a < h, n = len(rows), to color) only maps whose edges
-    get pairwise distinct colors are yielded.  Each pair (a, b) in ``less``
-    keeps only the maps that send a below b (see lex_min_conditions); a vertex
-    that chains of pairs put below j vertices and above i others only tries
-    host vertices with at least j ids above and i below it.  Small-graph
-    vertices are placed in the order of ``placement`` and candidates are tried
-    in ascending order, so maps come out in a fixed order.
+    (any sequence or mapping from edge key a*n + h, a < h, n = len(rows), to
+    color, read only at host edges) only maps whose edges get pairwise
+    distinct colors are yielded.  Each pair (a, b) in ``less`` keeps only
+    the maps that send a below b (see lex_min_conditions); a vertex that
+    chains of pairs put below j vertices and above i others only tries host
+    vertices with at least j ids above and i below it.  Small-graph vertices
+    are placed in the order of ``placement`` and candidates are tried in
+    ascending order, so maps come out in a fixed order.
     """
     order, anchors = placement(small)
     # candidate sets are bitmasks, so the lowest set bit is the next host
@@ -530,7 +532,8 @@ def _reach(step: dict[int, list[int]], v: int) -> int:
 
 
 def plan_embeddings(order: list[int], anchors: list[list[int]], nbr: list[int],
-                    start: list[int], color: dict | None = None, bounds=None):
+                    start: list[int],
+                    color: Sequence[int] | Mapping[int, int] | None = None, bounds=None):
     """The embedding kernel: yield every injective map of a placement plan
     (see placement) into a host given by bitmask rows, ``nbr[h]`` holding
     the neighbors of host vertex h.

@@ -27,7 +27,7 @@ of the k of them with budget // (k + 1) nodes, so a search stops after
 about k/(k + 1) of the budget (half under symmetry breaking, which keeps
 one subproblem).  They are solved in order against one incumbent that
 only a strictly larger packing replaces, so the result is bitwise
-identical from run to run.
+identical from run to run, and none starts once the incumbent meets the cap.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ _SOLVER_N_LIMIT = 12
 # benchmark use have under 10^4 (C5 in K12: 9,504).
 _EMBEDDING_LIMIT = 1_000_000
 # copies the solver takes, refused before the 10^6 tuples of _EMBEDDING_LIMIT
-# are kept: its keep[e] bitsets cost host edges x copies bits.  C6 in K12,
+# are kept: its keep bitsets cost n^2 x copies bits.  C6 in K12,
 # the largest pattern it is known to take, has 55,440
 _SOLVER_COPY_LIMIT = 100_000
 
@@ -159,22 +159,22 @@ class _SubSolver:
     incumbent (best_value, best_chosen), so each subproblem in turn prunes
     against the best packing found so far.
 
+    The union is kept in every mode by the kernel's edge key u*n + v,
+    u < v, and an include or an undo is one pass over the copy's edges.
     ``avail`` is a bitmask over copy indices: the copies that share no edge
-    with the current union.  ``keep[e]`` clears the copies through host edge
-    e, so an include costs e(F) ANDs and the exclude walk can jump to the
-    next set bit instead of visiting each clashing copy.  The union itself,
-    read only by the rainbow checks, is ``nbr[u]`` (a bitmask of u's union
-    neighbors) plus ``col`` (key u*n + v of union edge (u, v), u < v, to
-    the index of its copy in the packing), the embedding kernel's form.
+    with the union.  ``keep[key]`` clears the copies through that edge, so
+    an include costs e(F) ANDs and the exclude walk can jump to the next
+    set bit.  The rainbow checks read ``nbr[u]`` (a bitmask of u's union
+    neighbors) and ``col[key]`` (the index in the packing of the edge's
+    copy).  An undo clears only the row bits: every color read is of an
+    edge under set row bits, so a stale color is never read.
     """
 
     def __init__(self, n: int, forbidden: SimpleGraph | None, cap: int,
-                 copy_edges: list[list[tuple[int, int]]],
-                 edge_ids: list[list[int]], total_edges: int, budget: int):
+                 copy_edges: list[list[tuple[int, int]]], budget: int):
         self.n = n
         self.forbidden = forbidden
         self.copy_edges = copy_edges
-        self.edge_ids = edge_ids
         self.budget = budget
         self.n_copies = len(copy_edges)
         self.cap = cap  # no packing has more copies
@@ -190,10 +190,10 @@ class _SubSolver:
                           for arc in arc_orbit_representatives(forbidden)]
             self.tail = [(1 << n) - 1] * (forbidden.n - 2)
         self.everything = (1 << self.n_copies) - 1
-        through = [0] * total_edges
-        for i, ids in enumerate(edge_ids):
-            for e in ids:
-                through[e] |= 1 << i
+        through = [0] * (n * n)
+        for i, edges in enumerate(copy_edges):
+            for (u, v) in edges:
+                through[u * n + v] |= 1 << i
         self.keep = [self.everything & ~m for m in through]
         self.best_value = 0
         self.best_chosen: tuple[int, ...] = ()
@@ -205,7 +205,7 @@ class _SubSolver:
         self.avail = self.everything
         self.avail_stack: list[int] = []
         self.nbr = [0] * self.n
-        self.col: dict[int, int] = {}
+        self.col = [0] * (self.n * self.n)
         optimal = True
         try:
             self.nodes += 1
@@ -273,15 +273,15 @@ class _SubSolver:
                     if (col[u * n + z if u < z else z * n + u]
                             != col[v * n + z if v < z else z * n + v]):
                         return False
-        if self.forbidden is not None:  # the union is read only by the checks
-            color = len(self.chosen)
-            for (u, v) in edges:
-                col[u * n + v] = color
-                nbr[u] |= 1 << v
-                nbr[v] |= 1 << u
         self.avail_stack.append(self.avail)
-        for e in self.edge_ids[idx]:
-            self.avail &= self.keep[e]
+        avail, keep, color = self.avail, self.keep, len(self.chosen)
+        for (u, v) in edges:
+            key = u * n + v
+            avail &= keep[key]
+            col[key] = color
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        self.avail = avail
         self.chosen.append(idx)
         if self.generic and check and self._makes_rainbow(edges):
             self._undo(idx)
@@ -308,12 +308,10 @@ class _SubSolver:
     def _undo(self, idx: int) -> None:
         self.chosen.pop()
         self.avail = self.avail_stack.pop()
-        if self.forbidden is not None:
-            nbr = self.nbr
-            for (u, v) in self.copy_edges[idx]:
-                del self.col[u * self.n + v]
-                nbr[u] &= ~(1 << v)
-                nbr[v] &= ~(1 << u)
+        nbr = self.nbr
+        for (u, v) in self.copy_edges[idx]:
+            nbr[u] &= ~(1 << v)
+            nbr[v] &= ~(1 << u)
 
 
 def max_rainbow_free_packing(cfg: SearchConfig) -> SearchResult:
@@ -332,18 +330,14 @@ def max_rainbow_free_packing(cfg: SearchConfig) -> SearchResult:
     found = enumerate_copy_edges(cfg.n, cfg.pattern, host, _SOLVER_COPY_LIMIT)
     copies = [emb for emb, _ in found]
     copy_edges = [edges for _, edges in found]
-    host_edges = host.sorted_edges()
-    edge_index = {e: i for i, e in enumerate(host_edges)}
-    edge_ids = [[edge_index[e] for e in edges] for edges in copy_edges]
 
     symmetric_ground = cfg.host is None and cfg.symmetry_breaking
     firsts = ([0] if copies else []) if symmetric_ground else list(range(len(copies)))
     budget_per = max(1, cfg.node_budget // (len(firsts) + 1))
 
     cap = _value_cap(cfg.pattern, cfg.forbidden, host, copies)
-    sub = _SubSolver(cfg.n, cfg.forbidden, cap, copy_edges,
-                     edge_ids, len(host_edges), budget_per)
-    runs = [sub.run(first) for first in firsts]
+    sub = _SubSolver(cfg.n, cfg.forbidden, cap, copy_edges, budget_per)
+    runs = [sub.run(first) for first in firsts if sub.best_value < cap]
     optimal = all(ok for (ok, _) in runs)
     nodes = sum(sub_nodes for (_, sub_nodes) in runs)
     packing = ColoredPacking(cfg.n, cfg.pattern, [copies[i] for i in sub.best_chosen])

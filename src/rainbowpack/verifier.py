@@ -106,7 +106,8 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     returns None if there is none.  Any other graph takes the first map of
     the embedding kernel, which tries host vertices in ascending order and
     raises GuardError when the union is too sparse and wide for its
-    bitmask rows; the count never changes which witness is named.
+    bitmask rows; the count never changes which witness is named.  Both
+    name vertices, whose edges are listed in G's sorted edge order.
     """
     check_forbidden(forbidden)
     if len(packing) < forbidden.edge_count():  # fewer colors than a rainbow G has
@@ -117,9 +118,10 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
                 count_triangles(pattern.n, pattern.edges) * len(packing)):
             return None
     if forbidden.is_cycle(3):
-        return _find_rainbow_triangle(packing)
-    rows = bitmask_rows(packing.n, packing.union_edges())  # guarded before colors
-    verts = next(embeddings(forbidden, rows, color=packing.key_color), None)
+        verts = _find_rainbow_triangle(packing)
+    else:
+        rows = bitmask_rows(packing.n, packing.union_edges())  # guarded before colors
+        verts = next(embeddings(forbidden, rows, color=packing.key_color), None)
     if verts is None:
         return None
     edges = []
@@ -129,11 +131,11 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     return RainbowWitness(verts, tuple(edges))
 
 
-def _find_rainbow_triangle(packing: ColoredPacking):
+def _find_rainbow_triangle(packing: ColoredPacking) -> tuple[int, int, int] | None:
     """The lexicographically smallest rainbow triangle (a, b, c), a < b < c,
-    as a witness, or None.  Edges (a, b) are walked in ascending order on
-    the packing's forward sets, each with its common forward neighbors c
-    in ascending order, and colors are read by edge key."""
+    or None.  Edges (a, b) are walked in ascending order on the packing's
+    forward sets, each with its common forward neighbors c in ascending
+    order, and colors are read by edge key."""
     n = packing.n
     col = packing.key_color
     fwd = packing.forward
@@ -144,9 +146,7 @@ def _find_rainbow_triangle(packing: ColoredPacking):
                 c_ac = col[a * n + c]
                 c_bc = col[b * n + c]
                 if c_ab != c_ac and c_ab != c_bc and c_ac != c_bc:
-                    return RainbowWitness((a, b, c), (((0, 1), (a, b), c_ab),
-                                                      ((0, 2), (a, c), c_ac),
-                                                      ((1, 2), (b, c), c_bc)))
+                    return (a, b, c)
     return None
 
 
@@ -219,7 +219,7 @@ def pentagon_audit(packing: ColoredPacking) -> PentagonAudit:
     nstar_total = sum(local)
     if packing.union_triangles != nstar_total:
         raise AuditError("packing contains a rainbow triangle: "
-                         f"{_find_rainbow_triangle(packing).vertices}")
+                         f"{_find_rainbow_triangle(packing)}")
     deg = packing.union_degrees()
     per_copy = [(sum(map(deg.__getitem__, copy)), 2 * n + 10 + local[ci])
                 for ci, copy in enumerate(packing.copies)]

@@ -1,7 +1,8 @@
 """The deliberately naive cross-check of the exact solver.
 
-Copies come from plain vertex permutations, packings from full subset
-enumeration and rainbow copies from a from-scratch permutation scan.
+Copies come from plain vertex permutations, packings from an enumeration
+of the subsets of pairwise edge-disjoint copies and rainbow copies from a
+from-scratch permutation scan.
 Nothing here calls the solver's copy walk, the embedding kernel or the
 verifier, so the oracle checks that code instead of sharing its bugs.
 """
@@ -52,11 +53,12 @@ def naive_rainbow_scan(n: int, col: dict, forbidden: SimpleGraph) -> bool:
 def oracle_max_packing(n: int, pattern: SimpleGraph,
                        forbidden: SimpleGraph | None,
                        host: SimpleGraph | None = None) -> tuple[int, ColoredPacking]:
-    """Reference answer by full subset enumeration, guarded to 24 copies.
+    """Reference answer by subset enumeration, guarded to 24 copies.
 
-    Scans subset sizes from largest to smallest in lexicographic order and
-    returns the first feasible subset, which is also the lexicographically
-    smallest optimal witness.  host=None means K_n.
+    Scans subset sizes from largest to smallest, each in lexicographic
+    order, and returns the first subset of pairwise edge-disjoint copies
+    with no rainbow copy of the forbidden graph, which is also the
+    lexicographically smallest optimal witness.  host=None means K_n.
     """
     if n > ORACLE_N_LIMIT:
         raise GuardError(f"oracle guard: n={n} exceeds {ORACLE_N_LIMIT}")
@@ -66,16 +68,25 @@ def oracle_max_packing(n: int, pattern: SimpleGraph,
     if len(copies) > ORACLE_COPY_LIMIT:
         raise GuardError(
             f"oracle guard: {len(copies)} copies exceed {ORACLE_COPY_LIMIT}")
-    copy_edges = [sorted(_edge(emb[u], emb[v]) for (u, v) in pattern.edges)
+    copy_edges = [frozenset(_edge(emb[u], emb[v]) for (u, v) in pattern.edges)
                   for emb in copies]
     for r in range(len(copies), 0, -1):
-        for combo in itertools.combinations(range(len(copies)), r):
-            col: dict[tuple[int, int], int] = {}
-            for ci in combo:
-                if any(e in col for e in copy_edges[ci]):
-                    break
-                col.update((e, ci) for e in copy_edges[ci])
-            else:
-                if forbidden is None or not naive_rainbow_scan(n, col, forbidden):
-                    return (r, ColoredPacking(n, pattern, [copies[i] for i in combo]))
+        for combo in _disjoint_subsets(copy_edges, r):
+            col = {e: ci for ci in combo for e in copy_edges[ci]}
+            if forbidden is None or not naive_rainbow_scan(n, col, forbidden):
+                return (r, ColoredPacking(n, pattern, [copies[i] for i in combo]))
     return (0, ColoredPacking(n, pattern, []))
+
+
+def _disjoint_subsets(copy_edges: list[frozenset], r: int,
+                      chosen: tuple[int, ...] = (), used: frozenset = frozenset()):
+    """The r-subsets of pairwise edge-disjoint copies that extend ``chosen``
+    (whose edges are ``used``) by later copies, in lexicographic order.  A
+    subset grows only by a copy that shares no edge with it, so a clashing
+    pair ends every subset that would hold it."""
+    if len(chosen) == r:
+        yield chosen
+        return
+    for i in range(chosen[-1] + 1 if chosen else 0, len(copy_edges)):
+        if used.isdisjoint(copy_edges[i]):
+            yield from _disjoint_subsets(copy_edges, r, chosen + (i,), used | copy_edges[i])

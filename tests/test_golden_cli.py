@@ -57,7 +57,7 @@ CASES = {
         "9ec0dc5e10b304fb910438f0a0331038e12808d9acdefa04b425ea1fe9e7b9b3"),
     "solve-k3-none-n7": (
         [["solve", "--n", "7", "--F", "k3", "--G", "none", "--no-symmetry"]], 0,
-        "e029e1ac2e857241df4ed343777079ee111238c56f0efd9295a146fe74dcbda3"),
+        "eb6b2153464515e89abbe1074f2d103bd42f91a6620621a878dc6d077a8b1cc7"),
     "lp-petersen-c5": (
         [["lp", "--host", "petersen", "--pattern", "c5"]], 0,
         "8f1fd672a8f819db0c8962dda10339b2e1fae408f029a9e29b9fadce71734369"),

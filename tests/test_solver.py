@@ -1,6 +1,7 @@
 """Exact branch-and-bound solver, checked against the naive oracle of naive_oracle.py."""
 
 import hashlib
+import itertools
 import sys
 
 import pytest
@@ -10,7 +11,8 @@ from rainbowpack import (GuardError, SearchConfig, SimpleGraph,
                          enumerate_copies, find_rainbow,
                          max_rainbow_free_packing, solver)
 from rainbowpack.graphs import bitmask_rows, canonical_json, embeddings
-from naive_oracle import naive_copies, naive_rainbow_scan, oracle_max_packing
+from naive_oracle import (ORACLE_COPY_LIMIT, naive_copies, naive_rainbow_scan,
+                          oracle_max_packing)
 
 K3 = SimpleGraph.complete(3)
 K4 = SimpleGraph.complete(4)
@@ -359,8 +361,9 @@ def test_vertex_cap_and_color_gate_keep_values_and_witnesses(n, pattern, forbidd
     # budget can cut only the plain run short; it then keeps the same best
     assert (res.value, _fingerprint(res)[3]) == (plain.value, _fingerprint(plain)[3])
     assert res.optimal >= plain.optimal and res.nodes <= plain.nodes
-    # the oracle walks every subset, which took 6 to 30 s at 21 to 24 copies
-    if len(enumerate_copies(n, pattern, host)) <= 16:
+    # the oracle extends subsets only by disjoint copies, so it takes every
+    # input its 24-copy guard admits
+    if len(enumerate_copies(n, pattern, host)) <= ORACLE_COPY_LIMIT:
         assert res.optimal
         value, packing = oracle_max_packing(n, pattern, forbidden, host)
         assert (res.value, res.packing.copies) == (value, packing.copies)
@@ -368,8 +371,8 @@ def test_vertex_cap_and_color_gate_keep_values_and_witnesses(n, pattern, forbidd
 
 # (value, optimal, nodes, sha256 of the packing JSON).  Nodes count every
 # copy index the include/exclude walk passes; rows with several subproblems
-# (symmetry off or an explicit host) prune against one shared incumbent.
-# The budget-cut rows stop inside a run of clashing copies, so they pin the
+# (symmetry off or an explicit host) prune against one shared incumbent,
+# and no subproblem runs once it meets the cap.  The budget-cut rows stop inside a run of clashing copies, so they pin the
 # bulk node count and the position of the cut exactly.  The K3/K3 and K4/K3
 # rows end where the incumbent reaches the clique cap, the K3/K3 n = 8 rows
 # and the _HOST8 row well inside their budgets.  The K3/none n = 8, K3/C5
@@ -385,7 +388,7 @@ GOLDEN_SOLVES = [
     (dict(n=7, pattern=K3, forbidden=K3),
      (3, True, 18, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
     (dict(n=7, pattern=K3, forbidden=K3, symmetry_breaking=False),
-     (3, True, 86, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
+     (3, True, 18, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
     (dict(n=7, pattern=C5, forbidden=K3, node_budget=3000, symmetry_breaking=False),
      (2, False, 2974, "6afe7c74023be03485d493cf6bbcd0819a46e1bdf40c720f1c1ed3f9e6a64cc7")),
     (dict(n=8, pattern=C5, forbidden=K3),
@@ -407,9 +410,9 @@ GOLDEN_SOLVES = [
     (dict(n=7, pattern=C4, forbidden=K3),
      (2, True, 1547, "f258a0f60e824ed114dbeef3a1010e90a25e4286ecdd70408bb9dafbbd0761ad")),
     (dict(n=10, pattern=C5, forbidden=K3, host=SimpleGraph.petersen()),
-     (2, True, 36, "fc9b351bceff287fb62c78d4c230f7d9a5f542afb61ad7cb651464161c2f8c2a")),
+     (2, True, 14, "fc9b351bceff287fb62c78d4c230f7d9a5f542afb61ad7cb651464161c2f8c2a")),
     (dict(n=8, pattern=K3, forbidden=K3, host=_HOST8, node_budget=4000),
-     (4, True, 116, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
+     (4, True, 54, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
     # without the clique cap these took 85,804 and 2,082,057 nodes
     (dict(n=9, pattern=K3, forbidden=K3),
      (6, True, 1171, "b22244a938e18e37d162de2d2012ea8422039181682135b8d1f7db1cfddad60c")),
@@ -501,6 +504,39 @@ def test_anchored_check_matches_the_whole_union_check(n, pattern, forbidden, dat
         whole = max_rainbow_free_packing(cfg)
     assert _fingerprint(anchored) == _fingerprint(whole)
     assert not naive_rainbow_scan(n, anchored.packing.edge_color, forbidden)
+
+
+
+def _undo_with_sentinels(mp):
+    # every undo leaves a fresh color in each removed key, one no copy has
+    # and no other key shares, so a read of a stale color changes a verdict
+    undo = solver._SubSolver._undo
+    fresh = itertools.count(-1, -1)
+
+    def undo_and_scribble(self, idx):
+        undo(self, idx)
+        for (u, v) in self.copy_edges[idx]:
+            self.col[u * self.n + v] = next(fresh)
+
+    mp.setattr(solver._SubSolver, "_undo", undo_and_scribble)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(5, 8), pattern=st.sampled_from([K3, C4, C5, P3]),
+       forbidden=st.sampled_from([K3, C4, C5, P4, PAW, None]), data=st.data())
+def test_stale_colors_are_never_read(n, pattern, forbidden, data):
+    # an undo clears a removed edge's row bits but keeps its color; the
+    # triangle test and the kernel read colors only under set row bits
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    host = SimpleGraph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+    cfg = SearchConfig(n=n, pattern=pattern, forbidden=forbidden, host=host,
+                       node_budget=5000)
+    plain = max_rainbow_free_packing(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        _undo_with_sentinels(mp)
+        scribbled = max_rainbow_free_packing(cfg)
+    assert _fingerprint(scribbled) == _fingerprint(plain)
 
 
 def test_forbidden_graph_guards():

@@ -293,7 +293,7 @@ def test_find_rainbow_needs_as_many_copies_as_g_has_edges(pattern, forbidden, n,
     else:
         want = next(embeddings(forbidden, bitmask_rows(n, p.union_edges()),
                                color=p.key_color), None)
-        w = None if w is None else w.vertices
+    w = None if w is None else w.vertices
     if len(p) < forbidden.edge_count():
         assert want is None
     assert w == want
