@@ -9,7 +9,6 @@ exactly, and optimizes the blowup weight triples behind the lower-bound
 constructions.
 """
 
-from .certificates import FAIL, LOWER_BOUND, PASS, Certificate
 from .constructions import (UnbalancedBlowupShape, c5_blowup_packing,
                             k5_double_pentagon, kt_packing,
                             perfect_decomposition_check, unbalanced_blowup,
@@ -34,13 +33,9 @@ __all__ = [
     "AuditError",
     "BlowupSpec",
     "BudgetError",
-    "Certificate",
     "ColoredPacking",
-    "FAIL",
     "FractionalPackingProblem",
     "GuardError",
-    "LOWER_BOUND",
-    "PASS",
     "PackingError",
     "PentagonAudit",
     "QFreeSet",

@@ -21,7 +21,6 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .certificates import Certificate
 from .constructions import (UnbalancedBlowupShape, c5_blowup_packing,
                             k5_double_pentagon, kt_packing, unbalanced_blowup)
 from .errors import GuardError, PackingError
@@ -343,12 +342,12 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(text)
     if args.cert:
-        cert = Certificate(
-            verdict=verdict, payload=payload, version=__version__,
-            command=list(sys.argv[1:]) if argv is None else list(argv),
-            elapsed_ms=(time.perf_counter() - started) * 1000.0)
+        envelope = {
+            "verdict": verdict, "payload": payload, "version": __version__,
+            "command": list(sys.argv[1:]) if argv is None else list(argv),
+            "elapsed_ms": (time.perf_counter() - started) * 1000.0}
         with open(args.cert, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(cert.to_json_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(envelope, sort_keys=True) + "\n")
     return 2 if verdict == "FAIL" else 0
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .certificates import FAIL, PASS, Certificate
 from .errors import BudgetError, GuardError
 
 _BRUTEFORCE_N_LIMIT = 60
@@ -40,28 +39,19 @@ def is_q_limited_triple(a: int, b: int, c: int, q: int) -> bool:
     return False
 
 
-def verify_q_free(elements, q: int) -> Certificate:
+def verify_q_free(elements, q: int):
     """Scan all ordered pairs and coefficient choices for a q-limited triple.
 
-    Returns a PASS certificate, or a FAIL certificate carrying the
-    lexicographically smallest witness (a, b, c, lam, mu).  Cost is
-    O(|Z|^2 q^2) membership tests.
+    Returns the lexicographically smallest witness (a, b, c, lam, mu), or
+    None when the elements are q-limited-free.  Cost is O(|Z|^2 q^2)
+    membership tests, with q clamped as in _scan.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     elems = sorted(elements)
     if len(set(elems)) != len(elems):
         raise ValueError("elements must be distinct")
-    pairs_scanned = len(elems) * max(0, len(elems) - 1) * q * q
-    witness = _scan(elems, q)
-    if witness is None:
-        return Certificate(PASS, {"q": q, "size": len(elems),
-                                  "pairsScanned": pairs_scanned})
-    a, b, c, lam, mu = witness
-    return Certificate(FAIL, {
-        "q": q,
-        "witness": {"a": a, "b": b, "c": c, "lam": lam, "mu": mu},
-    })
+    return _scan(elems, q)
 
 
 def _scan(elems: list[int], q: int):
@@ -69,8 +59,13 @@ def _scan(elems: list[int], q: int):
 
     For fixed a, lam and mu the b's are the values (lam+mu)*c - lam*a with
     c != a that lie in {mu*b}.  c != a is the whole distinctness test: if
-    any two of a, b, c were equal, all three would be.
+    any two of a, b, c were equal, all three would be.  lam*(a - c) =
+    mu*(c - b) puts c strictly between a and b, and the least (lam, mu) of
+    a triple, (|c - b|, |a - c|) over their gcd, lies below the span
+    max - min; every other pair is a multiple of it.  So clamping q to the
+    span loses no triple and changes no witness.
     """
+    q = min(q, max(1, elems[-1] - elems[0])) if elems else 1
     mu_multiples = {mu: {mu * b for b in elems} for mu in range(1, q + 1)}
     for a in elems:
         hits = []
@@ -105,16 +100,14 @@ class QFreeSet:
     @classmethod
     def certified(cls, q: int, n: int, elements) -> "QFreeSet":
         """Construct after an oracle scan; raises on any q-limited triple."""
-        cert = verify_q_free(elements, q)
-        if not cert.ok():
-            raise ValueError(f"set is not {q}-limited-free: {cert.payload['witness']}")
+        witness = verify_q_free(elements, q)
+        if witness is not None:
+            raise ValueError(f"set is not {q}-limited-free: "
+                             f"(a, b, c, lam, mu) = {witness}")
         return cls(q, n, tuple(sorted(elements)))
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def to_json_dict(self) -> dict:
-        return {"q": self.q, "n": self.n, "elements": list(self.elements)}
 
 
 def _digit_sphere_candidates(n: int, q: int):
@@ -179,7 +172,11 @@ def behrend_q_free(n: int, q: int) -> QFreeSet:
 
 
 def _bad_triples(n: int, q: int) -> dict[tuple[int, int], set[int]]:
-    """Map each unordered pair to the elements completing a q-limited triple."""
+    """Map each unordered pair to the elements completing a q-limited triple.
+
+    As in _scan, no triple in [1, n] needs a coefficient past n - 1.
+    """
+    q = min(q, max(1, n - 1))
     comp: dict[tuple[int, int], set[int]] = {}
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):

@@ -110,15 +110,6 @@ class FractionalPackingProblem:
             raise ValueError(f"dual value {sum(self.duals, Fraction(0))} "
                              f"!= primal value {self.value()}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "host": self.host.to_json_dict(),
-            "pattern": self.pattern.to_json_dict(),
-            "copies": [list(c) for c in self.copy_list],
-            "weights": [f"{w.numerator}/{w.denominator}" for w in self.weights],
-            "duals": [f"{y.numerator}/{y.denominator}" for y in self.duals],
-        }
-
 
 def _pivot(row: list[int], prow: list[int], f: int, p: int, d: int) -> list[int]:
     """One row of a fraction-free pivot; the division is always exact."""

@@ -224,12 +224,12 @@ class _SubSolver:
         that clashes with the union is a node with no include branch.
         """
         self.nodes += 1
-        if self.nodes > self.budget:
-            raise _BudgetUp
         c = len(self.chosen)
         if c > self.best_value:
             self.best_value = c
             self.best_chosen = tuple(self.chosen)
+        if self.nodes > self.budget:
+            raise _BudgetUp
         # node p passes the bound c + min(copies left, free edges // e(F))
         # > best exactly when p < end, so the walk stops at end
         last = self.n_copies

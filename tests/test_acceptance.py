@@ -133,18 +133,15 @@ def test_criterion_07_progression_free_soundness():
     for n in (100, 1000, 10000):
         for q in (1, 2, 3):
             qset = behrend_q_free(n, q)
-            assert qset.certified
-            assert verify_q_free(qset.elements, q).ok(), (n, q)
+            assert verify_q_free(qset.elements, q) is None, (n, q)
     for n in range(1, 31):
         for q in (1, 2, 3):
             built = behrend_q_free(n, q)
             size, best = max_q_free_bruteforce(n, q)
             assert len(built) == size, (n, q)  # construction achieves the optimum
-            assert verify_q_free(best, q).ok(), (n, q)
-    assert verify_q_free((1, 2, 4, 5, 10, 11, 13, 14), 1).ok()
-    cert = verify_q_free((1, 2, 3), 1)
-    assert not cert.ok()
-    assert cert.payload["witness"] == {"a": 1, "b": 3, "c": 2, "lam": 1, "mu": 1}
+            assert verify_q_free(best, q) is None, (n, q)
+    assert verify_q_free((1, 2, 4, 5, 10, 11, 13, 14), 1) is None
+    assert verify_q_free((1, 2, 3), 1) == (1, 3, 2, 1, 1)
     print("criterion 7: PASS — 9 large sets certified and re-verified, "
           "construction matches the exhaustive oracle on all n <= 30, "
           "classic 8-element set passes, {1,2,3} fails with witness")

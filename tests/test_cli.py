@@ -6,14 +6,17 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from rainbowpack import ColoredPacking, GuardError, SimpleGraph, cli, graphs, solver
+from rainbowpack import (ColoredPacking, GuardError, SimpleGraph, __version__, cli,
+                         graphs, solver)
 from rainbowpack.cli import main, parse_graph
 from rainbowpack.graphs import forward_triangles
 
 K3 = SimpleGraph.complete(3)
+GREEDY30 = str(Path(__file__).parent / "data" / "greedy-k3-n30.json")
 
 
 def run(capsys, argv):
@@ -211,18 +214,22 @@ def test_construct_unbalanced(capsys):
 def test_out_file_and_cert_envelope(capsys, tmp_path):
     out_file = tmp_path / "payload.json"
     cert_file = tmp_path / "cert.json"
-    argv = ["solve", "--n", "4", "--out", str(out_file),
-            "--cert", str(cert_file)]
-    code, out, _ = run(capsys, argv)
-    assert code == 0 and out == ""
-    payload = json.loads(out_file.read_text())
-    assert payload["value"] == 1
-    cert = json.loads(cert_file.read_text())
-    assert cert["verdict"] == "PASS"
-    assert cert["command"] == argv
-    assert cert["payload"]["value"] == 1
-    assert cert["elapsed_ms"] >= 0.0
-    assert cert["version"]
+    for argv, code, verdict in [
+        (["solve", "--n", "4"], 0, "PASS"),
+        (["solve", "--n", "8", "--F", "c5", "--G", "k3", "--budget", "50"], 0, "LOWER_BOUND"),
+        (["verify", "--in", GREEDY30], 2, "FAIL"),
+    ]:
+        argv += ["--out", str(out_file), "--cert", str(cert_file)]
+        assert run(capsys, argv) == (code, "", ""), argv
+        text = cert_file.read_text()
+        cert = json.loads(text)
+        assert set(cert) == {"verdict", "payload", "version", "command", "elapsed_ms"}
+        assert text == json.dumps(cert, sort_keys=True) + "\n"
+        assert cert["verdict"] == verdict
+        assert cert["payload"] == json.loads(out_file.read_text())
+        assert cert["command"] == argv
+        assert cert["elapsed_ms"] >= 0.0
+        assert cert["version"] == __version__
 
 
 def test_error_paths_exit_1(capsys, monkeypatch, tmp_path):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -14,7 +15,7 @@ from rainbowpack import (FractionalPackingProblem, GuardError, SearchConfig,
                          SimpleGraph, blow_up, BlowupSpec, c5_blowup_packing,
                          lp_fractional_packing, max_rainbow_free_packing)
 from rainbowpack.graphs import canonical_json
-from rainbowpack import lp
+from rainbowpack import cli, lp
 from rainbowpack.lp import _simplex_max
 
 K3 = SimpleGraph.complete(3)
@@ -140,10 +141,10 @@ def test_edge_guard():
         lp_fractional_packing(SimpleGraph.complete(70), K3)
 
 
-def test_json_weights_are_exact_strings():
-    _, problem = lp_fractional_packing(K4, K3)
-    blob = problem.to_json_dict()
-    assert all("/" in w for w in blob["weights"])
+def test_json_weights_are_exact_strings(capsys):
+    assert cli.main(["lp", "--host", "k4", "--pattern", "k3"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert all("/" in w for w in blob["weights"] + blob["duals"])
     total = sum(Fraction(w) for w in blob["weights"])
     assert total == Fraction(2)
     assert len(blob["duals"]) == K4.edge_count()

@@ -266,6 +266,14 @@ def test_budget_exhaustion_degrades_to_lower_bound():
     assert find_rainbow(res.packing, K3) is None or res.value == 0
 
 
+def test_budget_cut_keeps_the_copy_it_just_accepted():
+    # the one copy of K3 in K3 is included on node 1 and the budget runs out
+    # on node 2, after the incumbent has taken it
+    res = max_rainbow_free_packing(SearchConfig(n=3, pattern=K3, forbidden=K3, node_budget=1))
+    assert (res.value, res.optimal, res.nodes) == (1, False, 2)
+    assert res.packing.copies == ((0, 1, 2),)
+
+
 def test_solver_guard():
     with pytest.raises(GuardError, match="solver guard"):
         max_rainbow_free_packing(SearchConfig(n=13, pattern=K3, forbidden=K3))
