@@ -11,13 +11,12 @@ constructions.
 
 from .constructions import (UnbalancedBlowupShape, c5_blowup_packing,
                             k5_double_pentagon, kt_packing,
-                            perfect_decomposition_check, unbalanced_blowup,
-                            unbalanced_edge_count)
-from .errors import AuditError, BudgetError, GuardError, PackingError
-from .gadgets import (QFreeSet, behrend_q_free, is_q_limited_triple,
-                      max_q_free_bruteforce, verify_q_free)
+                            perfect_decomposition_check, unbalanced_blowup)
+from .errors import AuditError, GuardError, PackingError
+from .gadgets import (QFreeSet, behrend_q_free, max_q_free_bruteforce,
+                      verify_q_free)
 from .graphs import (BlowupSpec, ColoredPacking, SimpleGraph, blow_up,
-                     canonical_json, union_graph)
+                     canonical_json)
 from .lp import FractionalPackingProblem, lp_fractional_packing
 from .optimizer import (WeightTriple, c5_decomposition_coeff, class_ratios,
                         density, maximize_density, reference_triple,
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditError",
     "BlowupSpec",
-    "BudgetError",
     "ColoredPacking",
     "FractionalPackingProblem",
     "GuardError",
@@ -54,7 +52,6 @@ __all__ = [
     "density",
     "enumerate_copies",
     "find_rainbow",
-    "is_q_limited_triple",
     "k5_double_pentagon",
     "kt_packing",
     "lp_fractional_packing",
@@ -66,8 +63,6 @@ __all__ = [
     "reference_triple",
     "solve_abg",
     "unbalanced_blowup",
-    "unbalanced_edge_count",
-    "union_graph",
     "upper_bound_coeff",
     "verify_q_free",
 ]

@@ -132,12 +132,6 @@ def unbalanced_blowup(shape: UnbalancedBlowupShape) -> SimpleGraph:
     return blow_up(BlowupSpec(SimpleGraph.cycle(5), (a1, a2, b2, c, b1)))
 
 
-def unbalanced_edge_count(shape: UnbalancedBlowupShape) -> int:
-    """Edge count of unbalanced_blowup without building the graph."""
-    a1, a2, b1, b2, c = shape.class_sizes()
-    return a1 * a2 + a2 * b2 + b2 * c + c * b1 + b1 * a1
-
-
 def perfect_decomposition_check(packing: ColoredPacking,
                                 host: SimpleGraph) -> None:
     """Raise unless the packing's copies tile the host's edge set exactly."""

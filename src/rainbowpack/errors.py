@@ -6,11 +6,8 @@ class PackingError(ValueError):
 
 
 class GuardError(ValueError):
-    """An input exceeds a documented size guard."""
-
-
-class BudgetError(GuardError):
-    """An enumeration exceeded its node or check budget."""
+    """An input exceeds a documented size guard or an enumeration its
+    node budget."""
 
 
 class AuditError(ValueError):

@@ -16,27 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetError, GuardError
+from .errors import GuardError
 
 _BRUTEFORCE_N_LIMIT = 60
 _BRUTEFORCE_NODE_BUDGET = 20_000_000
 # behrend_q_free takes about 1.2 s and 38 MB at n = 10^6, and its memory
 # grows about 22 MB per further 10^6 (the dimension-2 spheres hold ~n/4)
 _BEHREND_N_LIMIT = 10 ** 6
-
-
-def is_q_limited_triple(a: int, b: int, c: int, q: int) -> bool:
-    """True when a, b, c are pairwise distinct and lam*a+mu*b=(lam+mu)*c
-    for some 1 <= lam, mu <= q."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if a == b or a == c or b == c:
-        return False
-    for lam in range(1, q + 1):
-        for mu in range(1, q + 1):
-            if lam * a + mu * b == (lam + mu) * c:
-                return True
-    return False
 
 
 def verify_q_free(elements, q: int):
@@ -200,7 +186,7 @@ def max_q_free_bruteforce(n: int, q: int) -> tuple[int, tuple[int, ...]]:
 
     Scans elements in ascending order, include branch first, so the first
     optimum found is the lexicographically smallest one.  Guarded to
-    n <= _BRUTEFORCE_N_LIMIT; raises BudgetError if the tree outgrows
+    n <= _BRUTEFORCE_N_LIMIT; raises GuardError if the tree outgrows
     _BRUTEFORCE_NODE_BUDGET nodes.
     """
     if q < 1:
@@ -220,7 +206,7 @@ def max_q_free_bruteforce(n: int, q: int) -> tuple[int, tuple[int, ...]]:
         nonlocal best_size, best_set, nodes
         nodes += 1
         if nodes > _BRUTEFORCE_NODE_BUDGET:
-            raise BudgetError(
+            raise GuardError(
                 f"max_q_free_bruteforce exceeded {_BRUTEFORCE_NODE_BUDGET} nodes")
         if len(chosen) > best_size:
             best_size = len(chosen)

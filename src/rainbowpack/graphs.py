@@ -113,9 +113,6 @@ class SimpleGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
@@ -319,10 +316,6 @@ class ColoredPacking:
     def __len__(self) -> int:
         return len(self.copies)
 
-    def copy_edges(self, ci: int) -> list[tuple[int, int]]:
-        """Ground edges of copy ci, sorted."""
-        return embedded_edges(self.pattern, self.copies[ci])
-
     def column(self, i: int):
         """The host vertex of pattern vertex i in each copy, in copy order."""
         return map(itemgetter(i), self.copies)
@@ -401,11 +394,6 @@ class BlowupSpec:
             raise ValueError("need one class size per base vertex")
         if any(s < 0 for s in self.class_sizes):
             raise ValueError("class sizes must be nonnegative")
-
-
-def union_graph(packing: ColoredPacking) -> SimpleGraph:
-    """Union of all copy edges; exactly e(pattern) * len(copies) edges."""
-    return SimpleGraph(packing.n, frozenset(packing.union_edges()))
 
 
 def blow_up(spec: BlowupSpec) -> SimpleGraph:

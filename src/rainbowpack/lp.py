@@ -48,36 +48,35 @@ _LP_WORK_LIMIT = 3 * 10 ** 7
 @dataclass(frozen=True)
 class FractionalPackingProblem:
     """A host, a pattern, the enumerated copy list, per-copy weights, and
-    optionally per-edge dual prices (in ``host.sorted_edges()`` order)."""
+    per-edge dual prices (in ``host.sorted_edges()`` order)."""
 
     host: SimpleGraph
     pattern: SimpleGraph
     copy_list: tuple[tuple[int, ...], ...]
     weights: tuple[Fraction, ...]
-    duals: tuple[Fraction, ...] = ()
+    duals: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if len(self.copy_list) != len(self.weights):
             raise ValueError("one weight per copy required")
-        if self.duals and len(self.duals) != self.host.edge_count():
+        if len(self.duals) != self.host.edge_count():
             raise ValueError("one dual per host edge required")
 
     def value(self) -> Fraction:
         return sum(self.weights, Fraction(0))
 
     def validate(self) -> None:
-        """Copies inside the host and primal feasibility; with duals, also
-        the optimality certificate.
+        """Copies inside the host, primal feasibility and the duals'
+        optimality certificate.
 
         One pass over the copies, in integers: weights and loads over the
         weights' common denominator, duals and covers over the duals'.
         """
         scale = math.lcm(*(w.denominator for w in self.weights))
         ints = [w.numerator * (scale // w.denominator) for w in self.weights]
-        if self.duals:
-            dual_scale = math.lcm(*(y.denominator for y in self.duals))
-            prices = [y.numerator * (dual_scale // y.denominator) for y in self.duals]
-            price = dict(zip(self.host.sorted_edges(), prices))
+        dual_scale = math.lcm(*(y.denominator for y in self.duals))
+        prices = [y.numerator * (dual_scale // y.denominator) for y in self.duals]
+        price = dict(zip(self.host.sorted_edges(), prices))
         host_edges = self.host.edges
         loads: dict[tuple[int, int], int] = {}
         short = None  # the first copy the duals cover less than 1, and by how much
@@ -87,7 +86,7 @@ class FractionalPackingProblem:
                 if e not in host_edges:
                     raise ValueError(f"copy {emb} uses {e}, which is not a host edge")
                 loads[e] = loads.get(e, 0) + w
-            if self.duals and short is None:
+            if short is None:
                 covered = sum([price[e] for e in edges])
                 if covered < dual_scale:
                     short = (emb, covered)
@@ -97,8 +96,6 @@ class FractionalPackingProblem:
         for e, load in loads.items():
             if load > scale:
                 raise ValueError(f"edge {e} overloaded: {Fraction(load, scale)}")
-        if not self.duals:
-            return
         for e, y in zip(self.host.sorted_edges(), self.duals):
             if y < 0:
                 raise ValueError(f"dual {y} on edge {e} is negative")

@@ -68,11 +68,11 @@ def class_ratios(w: WeightTriple) -> tuple[Fraction, Fraction]:
     return _ratios(w.k, *w.exact())
 
 
-def solve_abg(w: WeightTriple, n: int = 0) -> UnbalancedBlowupShape:
+def solve_abg(w: WeightTriple) -> UnbalancedBlowupShape:
     """Class fractions (alpha, alpha, beta, beta, gamma) summing to one."""
     beta_alpha, gamma_alpha = class_ratios(w)
     alpha = 1 / (2 + 2 * beta_alpha + gamma_alpha)
-    return UnbalancedBlowupShape(alpha, alpha * beta_alpha, alpha * gamma_alpha, n)
+    return UnbalancedBlowupShape(alpha, alpha * beta_alpha, alpha * gamma_alpha)
 
 
 def _density_exact(k: int, lam, mu, delta):

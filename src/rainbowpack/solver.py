@@ -44,14 +44,11 @@ from .verifier import check_forbidden
 
 _SOLVER_N_LIMIT = 12
 # copies enumerate_copies finds before it gives up, also the cap on
-# max_copies: the kernel walks one embedding per copy, so C12 in K12 (about
-# 2*10^7 copies) is refused after 10^6.  The largest inputs the tests and
-# benchmark use have under 10^4 (C5 in K12: 9,504).
-_EMBEDDING_LIMIT = 1_000_000
-# copies the solver takes, refused before the 10^6 tuples of _EMBEDDING_LIMIT
-# are kept: its keep bitsets cost n^2 x copies bits.  C6 in K12,
-# the largest pattern it is known to take, has 55,440
-_SOLVER_COPY_LIMIT = 100_000
+# max_copies: the kernel walks one embedding per copy, and the solver's keep
+# bitsets cost n^2 x copies bits, so C12 in K12 (about 2*10^7 copies) is
+# refused after 10^5.  C6 in K12, the largest pattern the solver is known to
+# take, has 55,440; the benchmark's inputs have under 10^4 (C5 in K12: 9,504).
+_COPY_LIMIT = 100_000
 
 
 def enumerate_copies(n: int, pattern: SimpleGraph,
@@ -75,7 +72,7 @@ def enumerate_copy_edges(n: int, pattern: SimpleGraph,
     edge set, so they take the smallest host vertices outside the copy, in
     ascending order.  Copies are sorted by their sorted edge list, so the
     order is canonical.  GuardError as soon as more than max_copies (at
-    most _EMBEDDING_LIMIT) copies turn up, before the rest are enumerated.
+    most _COPY_LIMIT) copies turn up, before the rest are enumerated.
     """
     if pattern.edge_count() == 0:
         raise ValueError("pattern needs at least one edge")
@@ -83,7 +80,7 @@ def enumerate_copy_edges(n: int, pattern: SimpleGraph,
         host = SimpleGraph.complete(n)
     if host.n != n:
         raise ValueError(f"host has {host.n} vertices, expected n={n}")
-    limit = _EMBEDDING_LIMIT if max_copies is None else min(max_copies, _EMBEDDING_LIMIT)
+    limit = _COPY_LIMIT if max_copies is None else min(max_copies, _COPY_LIMIT)
     if pattern.n > n:
         return []
     deg = pattern.degrees()
@@ -230,7 +227,7 @@ class _SubSolver:
             self.best_chosen = tuple(self.chosen)
         if self.nodes > self.budget:
             raise _BudgetUp
-        # node p passes the bound c + min(copies left, free edges // e(F))
+        # while the cap is unmet, node p passes the bound c + copies left
         # > best exactly when p < end, so the walk stops at end
         last = self.n_copies
         cap = self.cap
@@ -327,7 +324,7 @@ def max_rainbow_free_packing(cfg: SearchConfig) -> SearchResult:
     if cfg.forbidden is not None:
         check_forbidden(cfg.forbidden)
     host = cfg.host if cfg.host is not None else SimpleGraph.complete(cfg.n)
-    found = enumerate_copy_edges(cfg.n, cfg.pattern, host, _SOLVER_COPY_LIMIT)
+    found = enumerate_copy_edges(cfg.n, cfg.pattern, host)
     copies = [emb for emb, _ in found]
     copy_edges = [edges for _, edges in found]
 

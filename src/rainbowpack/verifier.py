@@ -49,9 +49,6 @@ class RainbowWitness:
     vertices: tuple[int, ...]
     edges: tuple[tuple[tuple[int, int], tuple[int, int], int], ...]
 
-    def colors(self) -> tuple[int, ...]:
-        return tuple(sorted(c for (_, _, c) in self.edges))
-
     def check(self, packing: ColoredPacking, forbidden: SimpleGraph) -> None:
         """Raise unless this witness is a genuine rainbow copy."""
         if len(set(self.vertices)) != len(self.vertices):
@@ -169,9 +166,6 @@ class PentagonAudit:
     qm_am_bound: Fraction
     per_copy: tuple[tuple[int, int], ...]
     nstar_total: int
-
-    def slack(self) -> list[int]:
-        return [rhs - lhs for (lhs, rhs) in self.per_copy]
 
     def to_json_dict(self) -> dict:
         return {

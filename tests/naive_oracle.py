@@ -1,10 +1,13 @@
-"""The deliberately naive cross-check of the exact solver.
+"""The deliberately naive cross-checks of the exact solver and the q-free
+scans.
 
 Copies come from plain vertex permutations, packings from an enumeration
 of the subsets of pairwise edge-disjoint copies and rainbow copies from a
-from-scratch permutation scan.
-Nothing here calls the solver's copy walk, the embedding kernel or the
-verifier, so the oracle checks that code instead of sharing its bugs.
+from-scratch permutation scan.  A q-limited triple is found by trying all
+q^2 coefficient pairs.
+Nothing here calls the solver's copy walk, the embedding kernel, the
+verifier or the gadgets' scans, so the oracle checks that code instead of
+sharing its bugs.
 """
 
 import itertools
@@ -90,3 +93,17 @@ def _disjoint_subsets(copy_edges: list[frozenset], r: int,
     for i in range(chosen[-1] + 1 if chosen else 0, len(copy_edges)):
         if used.isdisjoint(copy_edges[i]):
             yield from _disjoint_subsets(copy_edges, r, chosen + (i,), used | copy_edges[i])
+
+
+def is_q_limited_triple(a: int, b: int, c: int, q: int) -> bool:
+    """True when a, b, c are pairwise distinct and lam*a+mu*b=(lam+mu)*c
+    for some 1 <= lam, mu <= q."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    if a == b or a == c or b == c:
+        return False
+    for lam in range(1, q + 1):
+        for mu in range(1, q + 1):
+            if lam * a + mu * b == (lam + mu) * c:
+                return True
+    return False

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import rainbowpack
 from rainbowpack import (ColoredPacking, GuardError, SimpleGraph, __version__, cli,
                          graphs, solver)
 from rainbowpack.cli import main, parse_graph
@@ -232,6 +233,23 @@ def test_out_file_and_cert_envelope(capsys, tmp_path):
         assert cert["version"] == __version__
 
 
+def test_package_exports_are_pinned():
+    # a name added to or dropped from the public surface shows up as a diff
+    assert sorted(rainbowpack.__all__) == [
+        "AuditError", "BlowupSpec", "ColoredPacking", "FractionalPackingProblem",
+        "GuardError", "PackingError", "PentagonAudit", "QFreeSet",
+        "RainbowWitness", "SearchConfig", "SearchResult", "SimpleGraph",
+        "UnbalancedBlowupShape", "WeightTriple", "behrend_q_free", "blow_up",
+        "c5_blowup_packing", "c5_decomposition_coeff", "canonical_json",
+        "class_ratios", "density", "enumerate_copies", "find_rainbow",
+        "k5_double_pentagon", "kt_packing", "lp_fractional_packing",
+        "max_q_free_bruteforce", "max_rainbow_free_packing", "maximize_density",
+        "pentagon_audit", "perfect_decomposition_check", "reference_triple",
+        "solve_abg", "unbalanced_blowup", "upper_bound_coeff", "verify_q_free",
+    ]
+    assert all(hasattr(rainbowpack, name) for name in rainbowpack.__all__)
+
+
 def test_error_paths_exit_1(capsys, monkeypatch, tmp_path):
     k3 = {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
     cases = [
@@ -326,10 +344,10 @@ def test_oversized_searches_are_rejected(capsys, monkeypatch):
     code, out, err = run(capsys, ["solve", "--n", "12", "--F", "c12", "--G", "k3"])
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "copies exceed 100000" in err
-    # copy enumeration stops at _EMBEDDING_LIMIT copies (lowered here so the
+    # copy enumeration stops at _COPY_LIMIT copies (lowered here so the
     # test stays fast): C6 in K12 has 55,440 copies, and K9/C5 has 1,512,
     # under the LP's own 2000
-    monkeypatch.setattr(solver, "_EMBEDDING_LIMIT", 1000)
+    monkeypatch.setattr(solver, "_COPY_LIMIT", 1000)
     for argv in (["solve", "--n", "12", "--F", "c6", "--G", "k3"],
                  ["lp", "--host", "k9", "--pattern", "c5"]):
         code, out, err = run(capsys, argv)

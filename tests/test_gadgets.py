@@ -12,9 +12,9 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from naive_oracle import is_q_limited_triple
 from rainbowpack import (GuardError, QFreeSet, behrend_q_free, gadgets,
-                         is_q_limited_triple, max_q_free_bruteforce,
-                         verify_q_free)
+                         max_q_free_bruteforce, verify_q_free)
 from rainbowpack.gadgets import _digit_sphere_candidates
 
 CLASSIC_AP_FREE = (1, 2, 4, 5, 10, 11, 13, 14)
@@ -256,6 +256,13 @@ def test_bruteforce_known_values():
 def test_bruteforce_guard():
     with pytest.raises(GuardError):
         max_q_free_bruteforce(61, 1)
+
+
+def test_bruteforce_node_budget(monkeypatch):
+    # the budget error is a GuardError like the n guard, and names the budget
+    monkeypatch.setattr(gadgets, "_BRUTEFORCE_NODE_BUDGET", 100)
+    with pytest.raises(GuardError, match="exceeded 100 nodes"):
+        max_q_free_bruteforce(30, 1)
 
 
 def test_bruteforce_dominates_construction():

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rainbowpack import (BlowupSpec, ColoredPacking, GuardError, PackingError,
-                         SimpleGraph, blow_up, canonical_json, union_graph)
+                         SimpleGraph, blow_up, canonical_json)
 from rainbowpack import graphs
 from rainbowpack.constructions import c5_blowup_packing, k5_double_pentagon
 from rainbowpack.graphs import (_JSON_N_LIMIT, arc_orbit_representatives,
-                                 bitmask_rows, count_triangles, embeddings,
-                                 lex_min_conditions, placement, plan_embeddings)
+                                 bitmask_rows, count_triangles, embedded_edges,
+                                 embeddings, lex_min_conditions, placement,
+                                 plan_embeddings)
 
 
 def test_edge_normalization_and_value_equality():
@@ -224,7 +225,7 @@ def test_forward_set_validation_matches_the_first_packing_error(case):
     assert p.key_color == {min(c[i], c[j]) * n + max(c[i], c[j]): ci
                            for ci, c in enumerate(copies) for (i, j) in pattern.edges}
     assert p.forward == graphs.forward_sets(n, itertools.chain.from_iterable(
-        p.copy_edges(ci) for ci in range(len(copies))))
+        embedded_edges(pattern, c) for c in copies))
 
 
 def test_packing_edge_color_is_a_read_only_view():
@@ -244,17 +245,22 @@ def test_count_triangles_reads_its_edges_once():
     assert count_triangles(4, iter(k4.sorted_edges())) == 4
 
 
+def _union_graph(packing: ColoredPacking) -> SimpleGraph:
+    """The union of all copy edges, read off the packing's forward sets."""
+    return SimpleGraph(packing.n, frozenset(packing.union_edges()))
+
+
 def test_union_graph_counts():
     k5 = k5_double_pentagon()
-    u = union_graph(k5)
+    u = _union_graph(k5)
     assert u == SimpleGraph.complete(5)
     assert u.edge_count() == 10
 
     empty = ColoredPacking(4, SimpleGraph.complete(3), [])
-    assert union_graph(empty) == SimpleGraph.empty(4)
+    assert _union_graph(empty) == SimpleGraph.empty(4)
 
     p3 = c5_blowup_packing(3)
-    u3 = union_graph(p3)
+    u3 = _union_graph(p3)
     assert u3.n == 15 and u3.edge_count() == 45
 
 
@@ -275,20 +281,20 @@ def test_union_edge_count_formula_random(seed=4021):
             used |= edges
             copies.append(tuple(v))
         p = ColoredPacking(n, tri, copies)
-        assert union_graph(p).edge_count() == 3 * len(copies)
+        assert _union_graph(p).edge_count() == 3 * len(copies)
 
 
 def test_pentagon_packing_degrees_all_even():
     for m in (1, 3, 5):
-        u = union_graph(c5_blowup_packing(m))
+        u = _union_graph(c5_blowup_packing(m))
         assert all(d % 2 == 0 for d in u.degrees())
-    assert all(d % 2 == 0 for d in union_graph(k5_double_pentagon()).degrees())
+    assert all(d % 2 == 0 for d in _union_graph(k5_double_pentagon()).degrees())
 
 
 def test_copy_edges_sorted():
     p = k5_double_pentagon()
-    assert p.copy_edges(0) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
-    assert p.copy_edges(1) == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
+    assert embedded_edges(p.pattern, p.copies[0]) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+    assert embedded_edges(p.pattern, p.copies[1]) == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
 
 
 def test_is_cycle():
@@ -382,7 +388,7 @@ def _random_colors(host, data):
 def _kernel_host(host, color):
     """The kernel's form of a host and its tuple-keyed colors: bitmask rows
     built bit by bit, and colors keyed by u*n + v."""
-    rows = [sum(1 << w for w in range(host.n) if w != h and host.has_edge(h, w))
+    rows = [sum(1 << w for w in range(host.n) if (min(h, w), max(h, w)) in host.edges)
             for h in range(host.n)]
     if color is not None:
         color = {u * host.n + v: c for (u, v), c in color.items()}
@@ -572,7 +578,7 @@ def test_blow_up_classes_independent():
         for u in block:
             for v in block:
                 if u < v:
-                    assert not g.has_edge(u, v)
+                    assert (u, v) not in g.edges
 
 
 def _has_triangle(g: SimpleGraph) -> bool:

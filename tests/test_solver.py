@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from rainbowpack import (GuardError, SearchConfig, SimpleGraph,
                          enumerate_copies, find_rainbow,
                          max_rainbow_free_packing, solver)
-from rainbowpack.graphs import bitmask_rows, canonical_json, embeddings
+from rainbowpack.graphs import (bitmask_rows, canonical_json, embedded_edges,
+                                embeddings)
 from naive_oracle import (ORACLE_COPY_LIMIT, naive_copies, naive_rainbow_scan,
                           oracle_max_packing)
 
@@ -66,9 +68,9 @@ def test_enumerate_copies_guard():
 def test_enumerate_copies_embedding_cap(monkeypatch):
     # K3 in K5: 10 copies, one embedding walked per copy; the lower of the
     # cap and max_copies applies
-    monkeypatch.setattr(solver, "_EMBEDDING_LIMIT", 10)
+    monkeypatch.setattr(solver, "_COPY_LIMIT", 10)
     assert len(enumerate_copies(5, K3)) == 10
-    monkeypatch.setattr(solver, "_EMBEDDING_LIMIT", 9)
+    monkeypatch.setattr(solver, "_COPY_LIMIT", 9)
     with pytest.raises(GuardError, match="copies exceed 9"):
         enumerate_copies(5, K3)
     with pytest.raises(GuardError, match="copies exceed 9"):
@@ -101,12 +103,20 @@ def test_enumerate_copies_walks_one_embedding_per_copy(monkeypatch):
         assert copies == naive_copies(pattern, k8), pattern
 
 
+def test_enumerate_copies_unpatched_cap():
+    # C7 in K12: 285,120 copies, refused once the 100,001st turns up
+    started = time.perf_counter()
+    with pytest.raises(GuardError, match="copies exceed 100000"):
+        enumerate_copies(12, SimpleGraph.cycle(7))
+    assert time.perf_counter() - started < 1.0
+
+
 def test_solver_copy_cap(monkeypatch):
-    # K3 in K5 has 10 copies; the solver's own cap is the lower one
+    # K3 in K5 has 10 copies; the solver takes as many as enumeration keeps
     cfg = SearchConfig(n=5, pattern=K3, forbidden=K3)
-    monkeypatch.setattr(solver, "_SOLVER_COPY_LIMIT", 10)
+    monkeypatch.setattr(solver, "_COPY_LIMIT", 10)
     assert max_rainbow_free_packing(cfg).value == 2
-    monkeypatch.setattr(solver, "_SOLVER_COPY_LIMIT", 9)
+    monkeypatch.setattr(solver, "_COPY_LIMIT", 9)
     with pytest.raises(GuardError, match="copies exceed 9"):
         max_rainbow_free_packing(cfg)
 
@@ -181,7 +191,7 @@ def test_triangle_table_small_n():
 def test_double_pentagon_value():
     res = max_rainbow_free_packing(SearchConfig(n=5, pattern=C5, forbidden=K3))
     assert res.value == 2 and res.optimal
-    edge_sets = [frozenset(res.packing.copy_edges(i)) for i in range(2)]
+    edge_sets = [frozenset(embedded_edges(C5, emb)) for emb in res.packing.copies]
     assert edge_sets[0] | edge_sets[1] == SimpleGraph.complete(5).edges
     assert not edge_sets[0] & edge_sets[1]
 
@@ -253,9 +263,8 @@ def test_explicit_host():
         SearchConfig(n=10, pattern=C5, forbidden=K3, host=pet))
     # 3 edge-disjoint pentagons would give some vertex odd leftover degree
     assert res.value == 2 and res.optimal
-    for i in range(2):
-        for (u, v) in res.packing.copy_edges(i):
-            assert pet.has_edge(u, v)
+    for emb in res.packing.copies:
+        assert set(embedded_edges(C5, emb)) <= pet.edges
 
 
 def test_budget_exhaustion_degrades_to_lower_bound():
