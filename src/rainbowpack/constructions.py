@@ -49,11 +49,13 @@ def kt_packing(n: int, t: int, a: QFreeSet) -> ColoredPacking:
         raise ValueError(f"difference set reaches {a.elements[-1]}, beyond n={n}")
     _check_size(n * len(a), t * (t - 1) // 2)
 
-    # (offset(i + 1) - 1, i): vertex i of a copy is o + start + i*diff
-    offs = [(n * i * (i + 1) // 2 - 1, i) for i in range(t)]
     total = n * t * (t + 1) // 2
-    copies = [tuple([o + start + k * diff for o, k in offs])
-              for start in range(1, n + 1) for diff in a.elements]
+    # column i holds vertex i of every copy, offset(i + 1) - 1 + start + i*diff
+    cols = []
+    for i in range(t):
+        shifts = [n * i * (i + 1) // 2 - 1 + i * diff for diff in a.elements]
+        cols.append([start + s for start in range(1, n + 1) for s in shifts])
+    copies = list(zip(*cols))
     return ColoredPacking(total, SimpleGraph.complete(t), copies)
 
 
@@ -74,10 +76,10 @@ def c5_blowup_packing(m: int) -> ColoredPacking:
             "slopes no longer cover each class-4/class-0 edge exactly once")
     _check_size(m * m, 5)
     pentagon = SimpleGraph.cycle(5)
-    copies = []
-    for a in range(m):
-        for d in range(m):
-            copies.append(tuple(j * m + (a + j * d) % m for j in range(5)))
+    # column j holds the class-j vertex of every copy, copies in (a, d) order
+    cols = [[j * m + (a + j * d) % m for a in range(m) for d in range(m)]
+            for j in range(5)]
+    copies = list(zip(*cols))
     return ColoredPacking(5 * m, pentagon, copies)
 
 

@@ -103,13 +103,22 @@ def _digit_sphere_candidates(n: int, q: int):
     squared norm) pairs in ascending value; a prefix goes once it exceeds
     n // d**k with k digits still to come, and the last digit streams
     straight into the spheres, so no full vector list is held.
+
+    A (dim, d) with d**(dim - 1) > n is skipped when (dim - 1, d) is on the
+    grid too: every vector in [1, n] then has a leading 0, so its spheres
+    are those of (dim - 1, d), and behrend_q_free keeps only a strictly
+    fuller candidate.
     """
     max_dim = max(2, int(math.log2(n)) + 1) if n >= 4 else 2
+    grid: set[tuple[int, int]] = set()
     for dim in range(2, max_dim + 1):
         root = math.ceil(n ** (1.0 / dim))
         for d in (root, root + 1):
             if d < 2 * q + 1:
                 continue  # digit bound needs room: 2q(s-1) < d with s >= 2
+            grid.add((dim, d))
+            if d ** (dim - 1) > n and (dim - 1, d) in grid:
+                continue
             s = (d - 1) // (2 * q) + 1
             assert 2 * q * (s - 1) < d
             by_norm: dict[int, list[int]] = {}

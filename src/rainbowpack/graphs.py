@@ -14,12 +14,14 @@ import json
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import lt, ne
 
 from .errors import GuardError, PackingError
 
-# verify keeps one forward set per vertex, about 225 bytes a vertex, so a
-# JSON graph or packing may name at most this many vertices (about 240 MB).
+# verify keeps one forward-set slot per vertex, 8 bytes, and a set only
+# where a vertex has a forward neighbor (see forward_sets); a JSON graph or
+# packing may name at most this many vertices, and one triangle naming
+# them all peaks at about 25 MB under verify.
 _JSON_N_LIMIT = 1_000_000
 # The embedding kernel keeps one bitmask row per host vertex, about
 # (largest neighbor id) / 8 bytes each, so sparse hosts with high ids cost
@@ -62,7 +64,7 @@ def _json_int_rows(rows, what: str) -> list[tuple[int, ...]]:
     if (type(rows) is not list or not set(map(type, rows)) <= {list}
             or not set(map(type, itertools.chain.from_iterable(rows))) <= {int}):
         raise ValueError(f"{what} must be a list of integer lists")
-    return [tuple(row) for row in rows]
+    return list(map(tuple, rows))
 
 
 @dataclass(frozen=True)
@@ -192,27 +194,39 @@ def bitmask_rows(n: int, edges) -> list[int]:
 
 
 def count_triangles(n: int, edges) -> int:
-    """Triangle count of the graph on 0..n-1 with these edges, in one pass."""
+    """Triangle count of the graph on 0..n-1 with these edges (u, v), u < v,
+    in one pass."""
     return forward_triangles(forward_sets(n, edges))
 
 
-def forward_sets(n: int, edges) -> list[set[int]]:
-    """Per vertex u of 0..n-1, its neighbors above u."""
-    fwd: list[set[int]] = [set() for _ in range(n)]
+_NO_FORWARD: frozenset[int] = frozenset()
+
+
+def forward_sets(n: int, edges) -> list[set[int] | frozenset[int]]:
+    """Per vertex u of 0..n-1, its neighbors above u, from edges (u, v) with
+    u < v.  Only a vertex with a forward neighbor gets a set of its own; the
+    others share one empty frozenset, so a vertex costs a list slot and not
+    a set (about 216 bytes)."""
+    fwd: list[set[int] | frozenset[int]] = [_NO_FORWARD] * n
     for (u, v) in edges:
-        if u < v:
-            fwd[u].add(v)
+        fwd_u = fwd[u]
+        if fwd_u:
+            fwd_u.add(v)
         else:
-            fwd[v].add(u)
+            fwd[u] = {v}
     return fwd
 
 
-def forward_triangles(fwd: list[set[int]]) -> int:
+def forward_triangles(fwd: list[set[int] | frozenset[int]]) -> int:
     """Triangle count from forward_sets: triangle a < b < c is met once, at
     edge (a, b), where c lies in both forward sets.  A set intersection
     costs the smaller set's size, at most min(deg a, deg b), so the count
     takes O(m^1.5) steps in all (Chiba and Nishizeki 1985)."""
-    return sum(len(fwd[u] & fwd[v]) for u in range(len(fwd)) for v in fwd[u])
+    total = 0
+    for fwd_u in fwd:
+        for v in fwd_u:
+            total += len(fwd_u & fwd[v])
+    return total
 
 
 def canonical_json(obj) -> str:
@@ -280,16 +294,20 @@ class ColoredPacking:
     Construction validates injectivity of each embedding and pairwise
     edge-disjointness; the offending pair of copies is reported on clash.
 
-    The packing builds one index of its union: ``forward``, the forward
-    sets (see forward_sets) of all copy edges, read off the columns of the
-    pattern vertices.  The copies are validated in bulk: lengths, range and
-    injectivity over all copies at once, then edge-disjointness by the
-    size of the forward sets, which is e(pattern) times the copy count
-    exactly when no edge repeats.  Only when a bulk check fails does the
-    per-copy loop run, to name the first offending copy.  ``key_color``,
-    the map from the key u*n + v, u < v, to the color of edge (u, v), is
-    built on first read, and ``edge_color`` is a read-only view of it keyed
-    by (u, v) whose length needs no map.
+    The packing is checked and indexed one column at a time: column i
+    (see column) holds the host vertex of pattern vertex i in every copy.
+    The checks run in bulk over all copies at once: lengths, then the
+    range of the columns, then injectivity, where each pattern edge's two
+    columns are oriented, the lower end first in every copy, which also
+    tells them apart; only a pattern with a non-adjacent pair also checks
+    each copy's vertex set.  The oriented columns give the one index of
+    the union, ``forward``, the forward sets (see forward_sets) of all copy
+    edges, and edge-disjointness is checked by their size, which is
+    e(pattern) times the copy count exactly when no edge repeats.  Only
+    when a bulk check fails does the per-copy loop run, to name the first
+    offending copy.  ``key_color``, the map from the key u*n + v, u < v, to
+    the color of edge (u, v), is built on first read, and ``edge_color`` is
+    a read-only view of it keyed by (u, v) whose length needs no map.
     """
 
     def __init__(self, n: int, pattern: SimpleGraph, copies) -> None:
@@ -302,23 +320,46 @@ class ColoredPacking:
         self.copies: tuple[tuple[int, ...], ...] = tuple(map(tuple, copies))
         copies = self.copies
         k = pattern.n
-        flat = list(itertools.chain.from_iterable(copies))
-        if copies and not (set(map(len, copies)) == {k}
-                           and 0 <= min(flat) and max(flat) < n
-                           and set(map(len, map(set, copies))) == {k}):
+        # column i holds the host vertex of pattern vertex i in every copy;
+        # copies of two lengths stop the strict zip, and copies all of one
+        # wrong length give the wrong number of columns
+        try:
+            cols = tuple(zip(*copies, strict=True)) if copies else ((),) * k
+        except ValueError:
             _raise_first_packing_error(n, pattern, copies)
+        self._columns = cols
+        # the pairs of pattern vertices that are edges are told apart below,
+        # as their columns are oriented, so only a pattern with a
+        # non-adjacent pair needs the per-copy sets
+        if len(cols) != k or copies and not (
+                0 <= min(itertools.chain.from_iterable(cols))
+                and max(itertools.chain.from_iterable(cols)) < n
+                and (pattern.edge_count() == k * (k - 1) // 2
+                     or set(map(len, map(set, copies))) == {k})):
+            _raise_first_packing_error(n, pattern, copies)
+        # each pattern edge's two columns, the lower end of every copy edge
+        # first; a kt or blow-up packing has each edge's ends in one order
+        ends = []
+        for (i, j) in pattern.edges:
+            a, b = cols[i], cols[j]
+            if all(map(lt, a, b)):
+                ends.append(zip(a, b))
+            elif all(map(ne, a, b)):
+                ends.append(zip(map(min, a, b), map(max, a, b)))
+            else:
+                _raise_first_packing_error(n, pattern, copies)
         # within an injective copy the pattern's edges stay distinct, so
         # only an edge shared by two copies can shrink the forward sets
-        self.forward: list[set[int]] = forward_sets(n, self.copy_pairs())
+        self.forward = forward_sets(n, itertools.chain.from_iterable(ends))
         if sum(map(len, self.forward)) != pattern.edge_count() * len(copies):
             _raise_first_packing_error(n, pattern, copies)
 
     def __len__(self) -> int:
         return len(self.copies)
 
-    def column(self, i: int):
+    def column(self, i: int) -> tuple[int, ...]:
         """The host vertex of pattern vertex i in each copy, in copy order."""
-        return map(itemgetter(i), self.copies)
+        return self._columns[i]
 
     def copy_pairs(self):
         """The host ends of every copy edge, unordered, one pattern edge at

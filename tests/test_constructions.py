@@ -64,6 +64,30 @@ def test_kt_random_instances_pass_verifier(seed=6020):
         assert find_rainbow(p, K3) is None
 
 
+def _kt_rows(n: int, t: int, a: QFreeSet) -> list[tuple[int, ...]]:
+    """kt_packing's copies one row at a time: copy (start, diff) takes
+    vertex offset(i + 1) - 1 + start + i*diff of class i + 1."""
+    return [tuple(n * i * (i + 1) // 2 - 1 + start + i * diff for i in range(t))
+            for start in range(1, n + 1) for diff in a.elements]
+
+
+def _c5_rows(m: int) -> list[tuple[int, ...]]:
+    """c5_blowup_packing's copies one row at a time: copy (a, d) takes
+    slot a + j*d mod m of class j."""
+    return [tuple(j * m + (a + j * d) % m for j in range(5))
+            for a in range(m) for d in range(m)]
+
+
+def test_column_builds_match_the_row_formulas():
+    for t in (3, 4, 5):
+        for n in (1, 2, 7, 30, 101):
+            a = behrend_q_free(n, t - 2)
+            assert list(kt_packing(n, t, a).copies) == _kt_rows(n, t, a), (n, t)
+    assert list(kt_packing(6, 3, QFreeSet(1, 6, ())).copies) == []
+    for m in (1, 3, 5, 9, 15, 31):
+        assert list(c5_blowup_packing(m).copies) == _c5_rows(m), m
+
+
 def test_c5_blowup_identity():
     p = c5_blowup_packing(1)
     assert p.copies == ((0, 1, 2, 3, 4),)

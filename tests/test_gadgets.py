@@ -1,5 +1,7 @@
 """Ratio-limited triples and progression-free set construction."""
 
+import bisect
+import functools
 import itertools
 import math
 import operator
@@ -173,10 +175,22 @@ def test_behrend_always_certified(seed=9001):
         assert verify_q_free(s.elements, q) is None
 
 
-def _naive_sphere_candidates(n: int, q: int) -> list[list[int]]:
-    """The fullest sphere of each (dimension, base) on the generator's grid:
-    every digit vector itertools.product lists, no pruning, ties to the
-    smallest squared norm."""
+@functools.lru_cache(maxsize=None)
+def _digit_vectors(dim: int, d: int, s: int) -> list[tuple[int, int]]:
+    """(value, squared norm) of every base-d digit vector of length dim
+    with digits below s, as itertools.product lists them, in ascending
+    value; the zero vector comes first."""
+    weights = [d ** (dim - 1 - i) for i in range(dim)]
+    return sorted((sum(map(operator.mul, digits, weights)),
+                   sum(map(operator.mul, digits, digits)))
+                  for digits in itertools.product(range(s), repeat=dim))
+
+
+def _naive_sphere_grid(n: int, q: int) -> list[tuple[int, int, list[int]]]:
+    """(dim, d, fullest sphere) for each point of the generator's grid:
+    every digit vector in [1, n] that _digit_vectors lists, no pruning,
+    ties to the smallest squared norm; the sphere is empty when no vector
+    lies in [1, n]."""
     out = []
     max_dim = max(2, int(math.log2(n)) + 1) if n >= 4 else 2
     for dim in range(2, max_dim + 1):
@@ -184,19 +198,25 @@ def _naive_sphere_candidates(n: int, q: int) -> list[list[int]]:
         for d in (root, root + 1):
             if d < 2 * q + 1:
                 continue
-            s = (d - 1) // (2 * q) + 1
-            weights = [d ** (dim - 1 - i) for i in range(dim)]
+            vectors = _digit_vectors(dim, d, (d - 1) // (2 * q) + 1)
             spheres: dict[int, list[int]] = {}
-            for digits in itertools.product(range(s), repeat=dim):
-                val = sum(map(operator.mul, digits, weights))
-                if 1 <= val <= n:
-                    norm = sum(map(operator.mul, digits, digits))
-                    spheres.setdefault(norm, []).append(val)
+            for val, norm in vectors[1:bisect.bisect(vectors, (n, math.inf))]:
+                spheres.setdefault(norm, []).append(val)
+            best: list[int] = []
             if spheres:
                 size = max(map(len, spheres.values()))
-                best = min(r for r in spheres if len(spheres[r]) == size)
-                out.append(sorted(spheres[best]))
+                best = spheres[min(r for r in spheres if len(spheres[r]) == size)]
+            out.append((dim, d, best))
     return out
+
+
+def _naive_sphere_candidates(n: int, q: int) -> list[list[int]]:
+    """The non-empty spheres of _naive_sphere_grid, less each (dim, d) with
+    d**(dim - 1) > n whose (dim - 1, d) is on the grid too."""
+    grid = _naive_sphere_grid(n, q)
+    points = {(dim, d) for dim, d, _ in grid}
+    return [sphere for dim, d, sphere in grid
+            if sphere and not (d ** (dim - 1) > n and (dim - 1, d) in points)]
 
 
 def test_digit_spheres_match_product_reference_small_n():
@@ -210,6 +230,22 @@ def test_digit_spheres_match_product_reference_small_n():
 @given(n=st.integers(401, 50_000), q=st.sampled_from([1, 2, 3]))
 def test_digit_spheres_match_product_reference(n, q):
     assert list(_digit_sphere_candidates(n, q)) == _naive_sphere_candidates(n, q)
+
+
+def test_skipped_grid_points_never_change_the_set():
+    # the first strictly fullest sphere of the whole grid, skipped points
+    # included, is what behrend_q_free returns
+    for q in (1, 2, 3):
+        for n in range(1, 2001):
+            best = [1]
+            for _, _, sphere in _naive_sphere_grid(n, q):
+                if len(sphere) > len(best):
+                    best = sphere
+            if n <= 30:
+                exact = max_q_free_bruteforce(n, q)[1]
+                if len(exact) > len(best):
+                    best = list(exact)
+            assert behrend_q_free(n, q).elements == tuple(best), (n, q)
 
 
 def _all_bad_masks(n: int, q: int) -> list[int]:

@@ -6,7 +6,7 @@ import random
 import time
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rainbowpack import (BlowupSpec, ColoredPacking, GuardError, PackingError,
                          SimpleGraph, blow_up, canonical_json)
@@ -107,7 +107,8 @@ def _loop_validated(n: int, pattern: SimpleGraph, copies) -> dict:
 
 
 VALIDATION_PATTERNS = [
-    SimpleGraph.complete(3), SimpleGraph.path(3), SimpleGraph.cycle(4),
+    SimpleGraph.complete(2), SimpleGraph.complete(3), SimpleGraph.complete(4),
+    SimpleGraph.path(3), SimpleGraph.cycle(4),
     SimpleGraph.cycle(5), SimpleGraph.from_edges(4, [(0, 1), (2, 3)]),
     SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2)]),  # K3 and an isolated vertex
 ]
@@ -115,22 +116,30 @@ VALIDATION_PATTERNS = [
 
 @st.composite
 def _copy_lists(draw):
-    """A ground size, a pattern and an edge-disjoint list of copies, with
-    copies inserted that may have the wrong length, repeat a vertex, leave
-    the ground set or reuse an edge."""
+    """A ground size, a pattern and an edge-disjoint list of copies, maybe
+    empty, drawn in one orientation: every copy's vertices ascending,
+    every copy's descending, or each copy in a random order, so that each
+    pattern edge's two columns are below, above or mixed.  Copies are
+    inserted that may have the wrong length, repeat a vertex at adjacent
+    or non-adjacent positions, leave the ground set or reuse an edge."""
     pattern = draw(st.sampled_from(VALIDATION_PATTERNS))
     k = pattern.n
     n = draw(st.integers(0, 9))
     injective = st.permutations(range(max(n, k))).map(lambda p: list(p[:k]))
+    order = draw(st.sampled_from(["ascending", "descending", "mixed"]))
     copies: list[tuple[int, ...]] = []
     used: set[tuple[int, int]] = set()
     for m in draw(st.lists(injective, max_size=10)):
+        if order != "mixed":
+            m.sort(reverse=order == "descending")
         edges = {(min(m[i], m[j]), max(m[i], m[j])) for (i, j) in pattern.edges}
         if max(m) < n and not edges & used:
             used |= edges
             copies.append(tuple(m))
     for _ in range(draw(st.integers(0, 2))):
         bad = draw(injective)
+        if order != "mixed":
+            bad.sort(reverse=order == "descending")
         kind = draw(st.sampled_from(["length", "repeat", "range", "clash"]))
         if kind == "length":
             bad = bad + bad[:1] if draw(st.booleans()) else bad[:-1]
@@ -145,6 +154,17 @@ def _copy_lists(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(case=_copy_lists())
+# a repeat at non-adjacent positions that no shared edge gives away: only
+# the per-copy sets see it
+@example(case=(4, SimpleGraph.from_edges(4, [(0, 1), (2, 3)]), [(0, 1, 0, 2)]))
+@example(case=(4, SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2)]), [(0, 1, 2, 0)]))
+@example(case=(3, SimpleGraph.path(3), [(0, 1, 0)]))
+# a repeat on an edge whose column is otherwise ascending or descending
+@example(case=(3, SimpleGraph.complete(2), [(0, 1), (2, 2)]))
+@example(case=(3, SimpleGraph.complete(2), [(2, 1), (1, 1)]))
+# both orientations in one column pair, and zero copies
+@example(case=(4, SimpleGraph.complete(2), [(0, 1), (3, 2)]))
+@example(case=(5, SimpleGraph.complete(3), []))
 def test_bulk_packing_validation_matches_the_per_copy_loop(case):
     n, pattern, copies = case
     try:
@@ -155,6 +175,12 @@ def test_bulk_packing_validation_matches_the_per_copy_loop(case):
         assert str(got.value) == str(exc)
         return
     p = ColoredPacking(n, pattern, copies)
+    naive: list[set[int]] = [set() for _ in range(n)]
+    for (u, v) in want:
+        naive[u].add(v)
+    assert p.forward == naive
+    assert [p.column(i) for i in range(pattern.n)] == [
+        tuple(c[i] for c in copies) for i in range(pattern.n)]
     assert dict(p.edge_color) == want and len(p.edge_color) == len(want)
     assert p.key_color == {u * n + v: c for (u, v), c in want.items()}
     # u*n + v names another edge when u >= v, u < 0 or v >= n
