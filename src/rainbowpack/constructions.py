@@ -3,9 +3,9 @@
 kt_packing places n*|A| edge-disjoint t-cliques on classes of sizes
 n, 2n, ..., tn using a progression-free difference set A, so that no
 triangle picks up three distinct colors.  c5_blowup_packing decomposes the
-balanced pentagon blow-up into m^2 pentagons.  unbalanced_blowup builds the
-five-class triangle-free host whose edge density the weight optimizer
-predicts.
+balanced pentagon blow-up into m^2 pentagons; both hand their columns to
+ColoredPacking.from_columns and never build a row.  unbalanced_blowup builds
+the five-class triangle-free host whose edge density the optimizer predicts.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ def kt_packing(n: int, t: int, a: QFreeSet) -> ColoredPacking:
     for i in range(t):
         shifts = [n * i * (i + 1) // 2 - 1 + i * diff for diff in a.elements]
         cols.append([start + s for start in range(1, n + 1) for s in shifts])
-    copies = list(zip(*cols))
-    return ColoredPacking(total, SimpleGraph.complete(t), copies)
+    return ColoredPacking.from_columns(total, SimpleGraph.complete(t), cols)
 
 
 def c5_blowup_packing(m: int) -> ColoredPacking:
@@ -79,8 +78,7 @@ def c5_blowup_packing(m: int) -> ColoredPacking:
     # column j holds the class-j vertex of every copy, copies in (a, d) order
     cols = [[j * m + (a + j * d) % m for a in range(m) for d in range(m)]
             for j in range(5)]
-    copies = list(zip(*cols))
-    return ColoredPacking(5 * m, pentagon, copies)
+    return ColoredPacking.from_columns(5 * m, pentagon, cols)
 
 
 def k5_double_pentagon() -> ColoredPacking:

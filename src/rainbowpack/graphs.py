@@ -58,13 +58,13 @@ def _json_vertex_count(x, what: str) -> int:
     return n
 
 
-def _json_int_rows(rows, what: str) -> list[tuple[int, ...]]:
-    """A decoded JSON list of integer lists, as tuples; ValueError otherwise."""
+def _json_int_rows(rows, what: str) -> list[list[int]]:
+    """A decoded JSON list of integer lists, as it is; ValueError otherwise."""
     # whole-list type sets keep the check cheap on packings with many copies
     if (type(rows) is not list or not set(map(type, rows)) <= {list}
             or not set(map(type, itertools.chain.from_iterable(rows))) <= {int}):
         raise ValueError(f"{what} must be a list of integer lists")
-    return list(map(tuple, rows))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,7 @@ def _raise_first_packing_error(n: int, pattern: SimpleGraph, copies) -> None:
         if len(copy) != k:
             raise PackingError(f"copy {ci} has {len(copy)} vertices, expected {k}")
         if len(set(copy)) != k:
-            raise PackingError(f"copy {ci} is not injective: {copy}")
+            raise PackingError(f"copy {ci} is not injective: {tuple(copy)}")
         for x in copy:
             if not (0 <= x < n):
                 raise PackingError(f"copy {ci} uses vertex {x} outside ground set")
@@ -283,7 +283,7 @@ class EdgeColors(Mapping):
         return (divmod(key, n) for key in self._packing.key_color)
 
     def __len__(self) -> int:
-        return self._packing.pattern.edge_count() * len(self._packing.copies)
+        return self._packing.pattern.edge_count() * len(self._packing)
 
 
 class ColoredPacking:
@@ -291,52 +291,62 @@ class ColoredPacking:
 
     ``copies[c][i]`` is the ground vertex hosting pattern vertex ``i`` in
     copy ``c``.  Copy index c is the color of every edge of that copy.
-    Construction validates injectivity of each embedding and pairwise
-    edge-disjointness; the offending pair of copies is reported on clash.
 
-    The packing is checked and indexed one column at a time: column i
-    (see column) holds the host vertex of pattern vertex i in every copy.
-    The checks run in bulk over all copies at once: lengths, then the
-    range of the columns, then injectivity, where each pattern edge's two
-    columns are oriented, the lower end first in every copy, which also
-    tells them apart; only a pattern with a non-adjacent pair also checks
-    each copy's vertex set.  The oriented columns give the one index of
-    the union, ``forward``, the forward sets (see forward_sets) of all copy
-    edges, and edge-disjointness is checked by their size, which is
-    e(pattern) times the copy count exactly when no edge repeats.  Only
-    when a bulk check fails does the per-copy loop run, to name the first
-    offending copy.  ``key_color``, the map from the key u*n + v, u < v, to
-    the color of edge (u, v), is built on first read, and ``edge_color`` is
-    a read-only view of it keyed by (u, v) whose length needs no map.
+    A packing stores only its columns: column i (see column) holds the
+    host vertex of pattern vertex i in every copy; ``copies`` reads the
+    rows off them.  ``ColoredPacking(n, pattern, copies)`` transposes a
+    sequence of rows once and ``from_columns`` takes columns; both run one
+    body of bulk checks over all copies: lengths, then the range of the
+    columns, then injectivity, where each pattern edge's two columns are
+    oriented, the lower end first in every copy, which also tells them
+    apart; only a pattern with a non-adjacent pair also checks each copy's
+    vertex set.  The oriented columns give the one index of the union,
+    ``forward``, the forward sets (see forward_sets) of all copy edges, and
+    edge-disjointness is checked by their size, which is e(pattern) times
+    the copy count exactly when no edge repeats.  Only when a bulk check
+    fails does the per-copy loop run, to name the first offending copy or
+    the clashing pair.  ``key_color``, the map from the key u*n + v, u < v,
+    to the color of edge (u, v), is built on first read, and ``edge_color``
+    is a read-only view of it keyed by (u, v) whose length needs no map.
     """
 
     def __init__(self, n: int, pattern: SimpleGraph, copies) -> None:
+        # copies of two lengths stop the strict zip, and copies all of one
+        # wrong length give the wrong number of columns
+        copies = tuple(copies)
+        try:
+            cols = tuple(zip(*copies, strict=True)) if copies else ((),) * pattern.n
+        except ValueError:
+            cols = None
+        self._check_and_index(n, pattern, cols, copies)
+
+    @classmethod
+    def from_columns(cls, n: int, pattern: SimpleGraph, columns) -> "ColoredPacking":
+        """The packing whose column i is columns[i]; ValueError unless all have one length."""
+        if len(set(map(len, columns))) != 1:
+            raise ValueError("a packing needs one or more columns of one length")
+        packing = cls.__new__(cls)
+        packing._check_and_index(n, pattern, tuple(columns), None)
+        return packing
+
+    def _check_and_index(self, n: int, pattern: SimpleGraph, cols, rows) -> None:
+        """Check and index cols (None: rows of two lengths); a failed check
+        names the first offending copy of rows, or of cols' rows if none."""
         if pattern.edge_count() == 0:
             raise PackingError("pattern graph must have at least one edge")
         if n < 0:
             raise PackingError(f"vertex count must be nonnegative, got {n}")
-        self.n = n
-        self.pattern = pattern
-        self.copies: tuple[tuple[int, ...], ...] = tuple(map(tuple, copies))
-        copies = self.copies
+        self.n, self.pattern, self._columns = n, pattern, cols
         k = pattern.n
-        # column i holds the host vertex of pattern vertex i in every copy;
-        # copies of two lengths stop the strict zip, and copies all of one
-        # wrong length give the wrong number of columns
-        try:
-            cols = tuple(zip(*copies, strict=True)) if copies else ((),) * k
-        except ValueError:
-            _raise_first_packing_error(n, pattern, copies)
-        self._columns = cols
         # the pairs of pattern vertices that are edges are told apart below,
         # as their columns are oriented, so only a pattern with a
         # non-adjacent pair needs the per-copy sets
-        if len(cols) != k or copies and not (
+        if cols is None or len(cols) != k or cols[0] and not (
                 0 <= min(itertools.chain.from_iterable(cols))
                 and max(itertools.chain.from_iterable(cols)) < n
                 and (pattern.edge_count() == k * (k - 1) // 2
-                     or set(map(len, map(set, copies))) == {k})):
-            _raise_first_packing_error(n, pattern, copies)
+                     or set(map(len, map(set, zip(*cols)))) == {k})):
+            _raise_first_packing_error(n, pattern, rows or self.copies)
         # each pattern edge's two columns, the lower end of every copy edge
         # first; a kt or blow-up packing has each edge's ends in one order
         ends = []
@@ -347,25 +357,23 @@ class ColoredPacking:
             elif all(map(ne, a, b)):
                 ends.append(zip(map(min, a, b), map(max, a, b)))
             else:
-                _raise_first_packing_error(n, pattern, copies)
+                _raise_first_packing_error(n, pattern, rows or self.copies)
         # within an injective copy the pattern's edges stay distinct, so
         # only an edge shared by two copies can shrink the forward sets
         self.forward = forward_sets(n, itertools.chain.from_iterable(ends))
-        if sum(map(len, self.forward)) != pattern.edge_count() * len(copies):
-            _raise_first_packing_error(n, pattern, copies)
+        if sum(map(len, self.forward)) != pattern.edge_count() * len(self):
+            _raise_first_packing_error(n, pattern, rows or self.copies)
+
+    @property
+    def copies(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self._columns))
 
     def __len__(self) -> int:
-        return len(self.copies)
+        return len(self._columns[0])
 
     def column(self, i: int) -> tuple[int, ...]:
         """The host vertex of pattern vertex i in each copy, in copy order."""
         return self._columns[i]
-
-    def copy_pairs(self):
-        """The host ends of every copy edge, unordered, one pattern edge at
-        a time in copy order."""
-        return itertools.chain.from_iterable(
-            zip(self.column(i), self.column(j)) for (i, j) in self.pattern.edges)
 
     def union_edges(self):
         """The union's edges (u, v), u < v, read off the forward sets."""
@@ -380,11 +388,12 @@ class ColoredPacking:
     def key_color(self) -> dict[int, int]:
         """Color of each edge (u, v), u < v, keyed by u*n + v; built on
         first read and kept."""
-        n = self.n
-        keys = [a * n + b if a < b else b * n + a for a, b in self.copy_pairs()]
-        # pattern edge e of copy c sits at keys[e * len(copies) + c]
+        n, cols = self.n, self._columns
+        # pattern edge e of copy c sits at keys[e * len(self) + c]
+        keys = [a * n + b if a < b else b * n + a
+                for (i, j) in self.pattern.edges for a, b in zip(cols[i], cols[j])]
         return dict(zip(keys, itertools.chain.from_iterable(
-            itertools.repeat(range(len(self.copies)), self.pattern.edge_count()))))
+            itertools.repeat(range(len(self)), self.pattern.edge_count()))))
 
     def union_degrees(self) -> list[int]:
         """Degrees of the union: the pattern degree of each position a
@@ -406,7 +415,8 @@ class ColoredPacking:
         return {
             "n": self.n,
             "pattern": self.pattern.to_json_dict(),
-            "copies": [list(c) for c in self.copies],
+            # not self.copies: zip reuses each row tuple once list drops it
+            "copies": list(map(list, zip(*self._columns))),
         }
 
     @staticmethod

@@ -215,8 +215,8 @@ def pentagon_audit(packing: ColoredPacking) -> PentagonAudit:
         raise AuditError("packing contains a rainbow triangle: "
                          f"{_find_rainbow_triangle(packing)}")
     deg = packing.union_degrees()
-    per_copy = [(sum(map(deg.__getitem__, copy)), 2 * n + 10 + local[ci])
-                for ci, copy in enumerate(packing.copies)]
+    copy_degrees = zip(*(map(deg.__getitem__, packing.column(i)) for i in range(pattern.n)))
+    per_copy = [(sum(d), 2 * n + 10 + c) for d, c in zip(copy_degrees, local)]
 
     double_sum = sum(lhs for (lhs, _) in per_copy)
     sq = sum(d * d for d in deg)

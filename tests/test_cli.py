@@ -1,20 +1,26 @@
 """Command line interface: payloads, exit codes, determinism."""
 
+import contextlib
+import copy
+import functools
 import io
 import json
+import operator
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rainbowpack
 from rainbowpack import (ColoredPacking, GuardError, SimpleGraph, __version__, cli,
                          graphs, solver)
 from rainbowpack.cli import main, parse_graph
-from rainbowpack.graphs import forward_triangles
+from rainbowpack.graphs import _JSON_N_LIMIT, forward_triangles
 
 K3 = SimpleGraph.complete(3)
 GREEDY30 = str(Path(__file__).parent / "data" / "greedy-k3-n30.json")
@@ -298,6 +304,86 @@ def test_error_paths_exit_1(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "stdin", io.StringIO("5\n"))   # echo 5 | verify
     code, out, err = run(capsys, ["verify"])
     assert (code, out) == (1, "") and err.startswith("error:")
+
+
+_K3_JSON = {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}
+_VERIFY = ["verify", "--in", "{}"]
+# valid payloads of the three JSON-reading commands, each small enough that
+# any edit of it runs in milliseconds; {} stands for the payload's path
+_JSON_COMMANDS = [
+    (_VERIFY, {"n": 5, "pattern": _K3_JSON, "copies": [[0, 1, 2], [0, 3, 4]]}),
+    (_VERIFY, {"n": 5, "pattern": {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]},
+               "copies": [[0, 1, 2, 3, 4], [0, 2, 4, 1, 3]]}),
+    (["lp", "--host", "json:{}"], {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]}),
+    (["solve", "--n", "6", "--budget", "10000", "--F", "json:{}"], _K3_JSON),
+]
+_ODD_JSON = st.one_of(
+    st.integers(-2, 8),
+    st.sampled_from([True, False, None, 1.5, _JSON_N_LIMIT + 1, 2**64, -2**64,
+                     "3", [], [[]], [[0, [1]]], {}]),
+    st.lists(st.integers(-2, 8), max_size=4),
+    st.lists(st.lists(st.integers(-2, 8), max_size=4), max_size=3)).map(copy.deepcopy)
+
+
+def _json_paths(doc, path=()):
+    """The key paths of every value inside a decoded JSON document."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+@st.composite
+def _malformed_json(draw, doc):
+    """doc after one to three edits at drawn places: a value replaced by
+    one of the wrong type, sign, size or depth, a key or an entry dropped,
+    or an extra key or entry added; drops make rows short, empty or
+    ragged."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(doc))))
+        if not path:
+            doc = draw(_ODD_JSON)
+            continue
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        edit = draw(st.sampled_from(["replace", "drop", "add"]))
+        if edit == "replace":
+            parent[path[-1]] = draw(_ODD_JSON)
+        elif edit == "drop":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent["extra"] = draw(_ODD_JSON)
+        else:
+            parent.insert(path[-1], draw(_ODD_JSON))
+    return doc
+
+
+@st.composite
+def _malformed_commands(draw):
+    argv, doc = draw(st.sampled_from(_JSON_COMMANDS))
+    return argv, draw(_malformed_json(doc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_malformed_commands())
+# decoded rows reach the packing as lists: a repeat, ragged, long and empty rows
+@example(case=(_VERIFY, {"n": 5, "pattern": _K3_JSON, "copies": [[0, 1, 2], [0, 3, 3]]}))
+@example(case=(_VERIFY, {"n": 5, "pattern": _K3_JSON, "copies": [[0, 1, 2], [0, 3]]}))
+@example(case=(_VERIFY, {"n": 5, "pattern": _K3_JSON, "copies": [[0, 1, 2, 3]]}))
+@example(case=(_VERIFY, {"n": 5, "pattern": _K3_JSON, "copies": [[]]}))
+def test_malformed_json_inputs_exit_cleanly(case):
+    # every admitted input gets an answer, a verdict or one error line
+    argv, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([arg.format(path) for arg in argv])
+    assert code in (0, 1, 2), (argv, doc, code)
+    if code == 1:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:"), (argv, doc)
 
 
 def test_huge_vertex_counts_in_json_are_rejected_fast(capsys, tmp_path):

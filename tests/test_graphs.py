@@ -106,6 +106,16 @@ def _loop_validated(n: int, pattern: SimpleGraph, copies) -> dict:
     return color
 
 
+def _entries(n: int, pattern: SimpleGraph, copies) -> list:
+    """The packing's builds: from its rows and, when the copies have one
+    length, from their columns (pattern.n empty ones for no copies)."""
+    entries = [lambda: ColoredPacking(n, pattern, copies)]
+    if len(set(map(len, copies))) <= 1:
+        cols = list(zip(*copies)) if copies else [()] * pattern.n
+        entries.append(lambda: ColoredPacking.from_columns(n, pattern, cols))
+    return entries
+
+
 VALIDATION_PATTERNS = [
     SimpleGraph.complete(2), SimpleGraph.complete(3), SimpleGraph.complete(4),
     SimpleGraph.path(3), SimpleGraph.cycle(4),
@@ -170,11 +180,15 @@ def test_bulk_packing_validation_matches_the_per_copy_loop(case):
     try:
         want = _loop_validated(n, pattern, copies)
     except PackingError as exc:
-        with pytest.raises(PackingError) as got:
-            ColoredPacking(n, pattern, copies)
-        assert str(got.value) == str(exc)
+        for entry in _entries(n, pattern, copies):
+            with pytest.raises(PackingError) as got:
+                entry()
+            assert str(got.value) == str(exc)
         return
-    p = ColoredPacking(n, pattern, copies)
+    p, q = (entry() for entry in _entries(n, pattern, copies))
+    assert (q.forward, q.key_color, q.copies, len(q)) == (
+        p.forward, p.key_color, p.copies, len(p))
+    assert p.copies == tuple(map(tuple, copies)) and len(p) == len(copies)
     naive: list[set[int]] = [set() for _ in range(n)]
     for (u, v) in want:
         naive[u].add(v)
@@ -242,16 +256,27 @@ def test_forward_set_validation_matches_the_first_packing_error(case):
     if corruption is not None:
         with pytest.raises(PackingError) as want:
             graphs._raise_first_packing_error(n, pattern, copies)
-        with pytest.raises(PackingError) as got:
-            ColoredPacking(n, pattern, copies)
-        assert str(got.value) == str(want.value)
+        for entry in _entries(n, pattern, copies):
+            with pytest.raises(PackingError) as got:
+                entry()
+            assert str(got.value) == str(want.value)
         return
-    p = ColoredPacking(n, pattern, copies)
-    assert "key_color" not in p.__dict__
-    assert p.key_color == {min(c[i], c[j]) * n + max(c[i], c[j]): ci
-                           for ci, c in enumerate(copies) for (i, j) in pattern.edges}
-    assert p.forward == graphs.forward_sets(n, itertools.chain.from_iterable(
-        embedded_edges(pattern, c) for c in copies))
+    for p in (entry() for entry in _entries(n, pattern, copies)):
+        # a packing holds its columns alone, and its length and its edge
+        # count read them without building the rows or the color map
+        assert "copies" not in vars(p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ColoredPacking, "copies", property(
+                lambda self: pytest.fail("the rows were built")))
+            assert len(p.edge_color) == pattern.edge_count() * len(copies)
+            assert len(p) == len(copies)
+        assert "key_color" not in vars(p)
+        assert p.key_color == {min(c[i], c[j]) * n + max(c[i], c[j]): ci
+                               for ci, c in enumerate(copies) for (i, j) in pattern.edges}
+        assert p.forward == graphs.forward_sets(n, itertools.chain.from_iterable(
+            embedded_edges(pattern, c) for c in copies))
+        assert json.loads(p.to_json())["copies"] == list(map(list, copies))
+        assert "copies" not in vars(p)
 
 
 def test_packing_edge_color_is_a_read_only_view():
@@ -562,6 +587,16 @@ def test_packing_json_round_trip():
     p = c5_blowup_packing(3)
     q = ColoredPacking.from_json_dict(json.loads(p.to_json()))
     assert q.copies == p.copies and q.n == p.n and q.pattern == p.pattern
+    # constructed and decoded packings alike keep no per-copy rows
+    assert "copies" not in vars(p) and "copies" not in vars(q)
+    # decoded rows are lists, and the errors name them as tuples
+    k3 = SimpleGraph.complete(3).to_json_dict()
+    for rows, message in (([[0, 1, 1]], "copy 0 is not injective: (0, 1, 1)"),
+                          ([[0, 1, 2], [0, 1]], "copy 1 has 2 vertices, expected 3"),
+                          ([[0, 1, 2], [2, 0, 3]], "copies 0 and 1 both use edge (0, 2)")):
+        with pytest.raises(PackingError) as got:
+            ColoredPacking.from_json_dict({"n": 4, "pattern": k3, "copies": rows})
+        assert str(got.value) == message
 
 
 def test_json_vertex_count_guard():
