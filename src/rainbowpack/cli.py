@@ -283,8 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int)
     sp.add_argument("--F", dest="pattern", default="k3")
     sp.add_argument("--G", dest="forbidden", default="k3")
-    sp.add_argument("--budget", type=int, default=10_000_000)
-    sp.add_argument("--no-symmetry", action="store_true")
+    sp.add_argument("--budget", type=int, default=10_000_000,
+                    help="search nodes; each of the k subproblems gets "
+                         "budget // (k + 1), so half of it under symmetry "
+                         "breaking, which keeps one")
+    sp.add_argument("--no-symmetry", action="store_true",
+                    help="search every first copy and every second copy, "
+                         "not only copy 0 and the orbit-minimal second copies")
     sp.add_argument("--sweep", help="n range like 4..7, emits CSV")
     common(sp)
 

@@ -645,9 +645,9 @@ def plan_embeddings(order: list[int], anchors: list[list[int]], nbr: list[int],
             placed[i] = [image[u] for u in anchors[i]]
 
 
-def _automorphism_sends(g: SimpleGraph, first, images) -> bool:
-    """Whether some automorphism of g sends first[i] to images[i] for
-    every i.
+def _automorphism_sending(g: SimpleGraph, first, images) -> tuple[int, ...] | None:
+    """Some automorphism of g that sends first[i] to images[i] for every
+    i, as the tuple of each vertex's image, or None if there is none.
 
     One search of g into itself with the first vertices pinned: an
     injective edge-preserving map of a finite graph to itself is an
@@ -657,22 +657,21 @@ def _automorphism_sends(g: SimpleGraph, first, images) -> bool:
     """
     deg = g.degrees()
     if any(deg[v] != deg[h] for v, h in zip(first, images)):
-        return False
+        return None
     same_degree: dict[int, int] = {}
     for v, d in enumerate(deg):
         same_degree[d] = same_degree.get(d, 0) | 1 << v
     pinned = dict(zip(first, images))
     order, anchors = placement(g, first)
     start = [1 << pinned[v] if v in pinned else same_degree[deg[v]] for v in order]
-    return next(plan_embeddings(order, anchors, bitmask_rows(g.n, g.edges), start),
-                None) is not None
+    return next(plan_embeddings(order, anchors, bitmask_rows(g.n, g.edges), start), None)
 
 
 def arc_orbit_representatives(g: SimpleGraph) -> list[tuple[int, int]]:
     """One arc from each orbit of Aut(g) on g's arcs, the two orientations
     (u, v) and (v, u) of every edge; each representative is the smallest
     arc of its orbit, and they come in ascending order.  An arc joins the
-    orbit of a representative when _automorphism_sends maps one to the
+    orbit of a representative when _automorphism_sending maps one to the
     other.
     """
     arcs = sorted(itertools.chain(g.edges, ((v, u) for (u, v) in g.edges)))
@@ -683,17 +682,33 @@ def arc_orbit_representatives(g: SimpleGraph) -> list[tuple[int, int]]:
             continue
         reps.append(arc)
         for other in arcs:
-            if other not in seen and _automorphism_sends(g, arc, other):
+            if other not in seen and _automorphism_sending(g, arc, other) is not None:
                 seen.add(other)
     return reps
 
 
 @functools.lru_cache(maxsize=256)
+def _stabilizer_chain(g: SimpleGraph) -> tuple[tuple[tuple[int, int], tuple[int, ...]], ...]:
+    """Each pair (i, v), i < v, such that some automorphism of g fixes each
+    of 0..i-1 and maps i to v, that is v lies in the orbit of i under the
+    pointwise stabilizer of 0..i-1 (McKay and Piperno 2014), with one such
+    automorphism as the tuple of each vertex's image.
+
+    For each i, these automorphisms and the identity are one of each coset
+    of the stabilizer of 0..i in that of 0..i-1, so together they generate
+    Aut(g) (a strong generating set, Sims 1970).  Each pair is one search
+    of _automorphism_sending, with 0..i-1 pinned to themselves and i to v.
+    Cached, as the searches cost more than a small solve.
+    """
+    return tuple(((i, v), t) for i in range(g.n) for v in range(i + 1, g.n)
+                 if (t := _automorphism_sending(g, range(i + 1), (*range(i), v)))
+                 is not None)
+
+
+@functools.lru_cache(maxsize=256)
 def lex_min_conditions(g: SimpleGraph) -> tuple[tuple[int, int], ...]:
-    """The symmetry-breaking pairs of g (Grochow and Kellis 2007): (i, v),
-    i < v, whenever some automorphism of g fixes each of 0..i-1 and maps i
-    to v, that is v lies in the orbit of i under the pointwise stabilizer
-    of 0..i-1 (McKay and Piperno 2014).
+    """The symmetry-breaking pairs of g (Grochow and Kellis 2007): the
+    pairs (i, v) of _stabilizer_chain.
 
     Of the maps of g into a host that differ by an automorphism of g,
     exactly one puts the image of i below that of v for every pair: the
@@ -702,10 +717,30 @@ def lex_min_conditions(g: SimpleGraph) -> tuple[tuple[int, int], ...]:
     sends i to m(v) < m(i).  A map that meets every pair beats m after any
     other automorphism t at the first vertex j that t moves, since t(j) is
     in the orbit of j.
-
-    Each pair is asked of _automorphism_sends, with 0..i-1 pinned to
-    themselves and i to v.  Cached, as the searches cost more than a small
-    solve.
     """
-    return tuple((i, v) for i in range(g.n) for v in range(i + 1, g.n)
-                 if _automorphism_sends(g, range(i + 1), (*range(i), v)))
+    return tuple(pair for pair, _ in _stabilizer_chain(g))
+
+
+def automorphism_generators(g: SimpleGraph) -> list[tuple[int, ...]]:
+    """Automorphisms of _stabilizer_chain(g) that still generate Aut(g),
+    each as the tuple of each vertex's image.
+
+    Walking the pairs (i, v) from the last i down, the automorphism of a
+    pair is kept only when v is not yet in the orbit of i under those kept
+    so far.  Those all fix 0..i-1 and, by induction, generate the
+    pointwise stabilizer of 0..i; once the orbit of i is whole they
+    generate that of 0..i-1, by the orbit-stabilizer count.  C5 keeps 2 of
+    its 5 and K4 3 of its 6.
+    """
+    kept: list[tuple[int, ...]] = []
+    for (i, v), t in reversed(_stabilizer_chain(g)):
+        orbit, stack = {i}, [i]
+        while stack:
+            w = stack.pop()
+            for k in kept:
+                if k[w] not in orbit:
+                    orbit.add(k[w])
+                    stack.append(k[w])
+        if v not in orbit:
+            kept.append(t)
+    return kept

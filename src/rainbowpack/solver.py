@@ -28,18 +28,27 @@ about k/(k + 1) of the budget (half under symmetry breaking, which keeps
 one subproblem).  They are solved in order against one incumbent that
 only a strictly larger packing replaces, so the result is bitwise
 identical from run to run, and none starts once the incumbent meets the cap.
+Symmetry breaking, on a complete host only, keeps the subproblem of copy
+0, as some relabeling of any optimum holds it, and its second copy walks
+only the copies that are the smallest of their orbit under the stabilizer
+of copy 0 in Sym(n).  That keeps every value and witness: the witness is
+the lexicographically smallest optimum S, and a stabilizer element g that
+moved the second copy of S lower would make g(S) a smaller one.  The
+orbits are found once the walk passes its first second copy.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import GuardError
 from .graphs import (ColoredPacking, SimpleGraph, arc_orbit_representatives,
-                     bitmask_rows, embedded_edges, embeddings, lex_min_conditions,
-                     placement, plan_embeddings)
+                     automorphism_generators, bitmask_rows, embedded_edges,
+                     embeddings, lex_min_conditions, placement, plan_embeddings)
 from .verifier import check_forbidden
 
 _SOLVER_N_LIMIT = 12
@@ -83,21 +92,40 @@ def enumerate_copy_edges(n: int, pattern: SimpleGraph,
     limit = _COPY_LIMIT if max_copies is None else min(max_copies, _COPY_LIMIT)
     if pattern.n > n:
         return []
-    deg = pattern.degrees()
-    spots = [v for v in range(pattern.n) if deg[v]]
-    core = pattern
-    if len(spots) < pattern.n:
-        index = {v: j for j, v in enumerate(spots)}
-        core = SimpleGraph(len(spots), frozenset(
-            (index[u], index[v]) for (u, v) in pattern.edges))
-    walk = embeddings(core, bitmask_rows(n, host.edges), less=lex_min_conditions(core))
+    core, spots = _core(pattern)
+    # the kernel's rows cover only the host's non-isolated vertices, in
+    # ascending order, so a sparse host with high ids costs its edges, not
+    # its largest id; the renumbering keeps every order the walk uses
+    used = sorted(set().union(*host.edges))
+    if len(used) < n:
+        index = {h: j for j, h in enumerate(used)}
+        rows = bitmask_rows(len(used), [(index[u], index[v]) for (u, v) in host.edges])
+    else:
+        rows = bitmask_rows(n, host.edges)
+    walk = embeddings(core, rows, less=lex_min_conditions(core))
     copies = list(itertools.islice(walk, limit))
     if next(walk, None) is not None:
         raise GuardError(f"enumerate_copies guard: copies exceed {limit}")
+    if len(used) < n:
+        copies = [tuple([used[j] for j in emb]) for emb in copies]
     if core is not pattern:
+        deg = pattern.degrees()
         isolated = [v for v in range(pattern.n) if not deg[v]]
         copies = [_with_isolated(emb, spots, isolated, n) for emb in copies]
     return sorted([(emb, embedded_edges(pattern, emb)) for emb in copies], key=itemgetter(1))
+
+
+def _core(pattern: SimpleGraph) -> tuple[SimpleGraph, list[int]]:
+    """The pattern without its isolated vertices, and the pattern vertex
+    that each core vertex stands for, in ascending order; the pattern
+    itself when it has none."""
+    deg = pattern.degrees()
+    spots = [v for v in range(pattern.n) if deg[v]]
+    if len(spots) == pattern.n:
+        return pattern, spots
+    index = {v: j for j, v in enumerate(spots)}
+    return SimpleGraph(len(spots), frozenset(
+        (index[u], index[v]) for (u, v) in pattern.edges)), spots
 
 
 def _with_isolated(emb: tuple[int, ...], spots: list[int], isolated: list[int],
@@ -168,8 +196,13 @@ class _SubSolver:
     """
 
     def __init__(self, n: int, forbidden: SimpleGraph | None, cap: int,
-                 copy_edges: list[list[tuple[int, int]]], budget: int):
+                 copy_edges: list[list[tuple[int, int]]], budget: int,
+                 second_copies: Callable[[int], int] | None = None):
         self.n = n
+        # with symmetry breaking, maps the copies disjoint from copy 0 to
+        # those the second include may take; asked only once the depth-1
+        # walk needs it
+        self.second_copies = second_copies
         self.forbidden = forbidden
         self.copy_edges = copy_edges
         self.budget = budget
@@ -232,16 +265,27 @@ class _SubSolver:
         last = self.n_copies
         cap = self.cap
         end = last + c - self.best_value if cap > self.best_value else 0
+        # avail is the same again after every undo, so the walk reads it once
+        walk = self.avail
+        # the depth-1 walk takes only orbit-minimal second copies past its
+        # first candidate, which is one: its orbit lies among the copies
+        # disjoint from copy 0, and it is the lowest of those.  The orbits
+        # are found only if the walk has a second candidate before end
+        orbits = self.second_copies if c == 1 else None
         while idx < end:
-            if (self.avail >> idx) & 1 and self._include(idx):
-                self._dfs(idx + 1)
-                self._undo(idx)
-                best = self.best_value
-                end = last + c - best if cap > best else 0
+            if (walk >> idx) & 1:
+                if self._include(idx):
+                    self._dfs(idx + 1)
+                    self._undo(idx)
+                    best = self.best_value
+                    end = last + c - best if cap > best else 0
+                if orbits is not None and (walk & ((1 << end) - 1)) >> (idx + 1):
+                    walk = orbits(walk)
+                    orbits = None
             # exclude idx: count every position up to the next disjoint copy,
             # or up to the first one whose bound fails
             nxt = end if end > idx else idx + 1
-            rest = self.avail >> (idx + 1)
+            rest = walk >> (idx + 1)
             if rest:
                 low = idx + (rest & -rest).bit_length()
                 if low < nxt:
@@ -331,14 +375,80 @@ def max_rainbow_free_packing(cfg: SearchConfig) -> SearchResult:
     symmetric_ground = cfg.host is None and cfg.symmetry_breaking
     firsts = ([0] if copies else []) if symmetric_ground else list(range(len(copies)))
     budget_per = max(1, cfg.node_budget // (len(firsts) + 1))
+    second_copies = (functools.partial(_orbit_minimal, cfg.n, cfg.pattern, copies[0], copy_edges)
+                     if symmetric_ground and copies else None)
 
     cap = _value_cap(cfg.pattern, cfg.forbidden, host, copies)
-    sub = _SubSolver(cfg.n, cfg.forbidden, cap, copy_edges, budget_per)
+    sub = _SubSolver(cfg.n, cfg.forbidden, cap, copy_edges, budget_per, second_copies)
     runs = [sub.run(first) for first in firsts if sub.best_value < cap]
     optimal = all(ok for (ok, _) in runs)
     nodes = sum(sub_nodes for (_, sub_nodes) in runs)
     packing = ColoredPacking(cfg.n, cfg.pattern, [copies[i] for i in sub.best_chosen])
     return SearchResult(sub.best_value, packing, optimal, nodes)
+
+
+def _orbit_minimal(n: int, pattern: SimpleGraph, first: tuple[int, ...],
+                   copy_edges: list[list[tuple[int, int]]], disjoint: int) -> int:
+    """The copies in the bitmask ``disjoint``, the copies of the pattern in
+    K_n that share no edge with copy 0 (embedded at ``first``), that have
+    the lowest index in their orbit under the stabilizer of copy 0 in
+    Sym(n), as a bitmask.
+
+    A permutation keeps copy 0's edge set exactly when it acts on the
+    copy's non-isolated vertices as an automorphism of the pattern's core
+    and permutes the other host vertices at will.  So automorphism
+    generators of the core, carried onto copy 0, with one transposition and
+    one cycle of the other vertices generate the stabilizer, and an orbit
+    is the closure of one copy under them (McKay and Piperno 2014).  The
+    stabilizer keeps the disjoint copies among themselves, so a table from
+    their edge-key sets u*n + v, u < v, to their positions finds each image.
+    """
+    core, spots = _core(pattern)
+    on = [first[v] for v in spots]
+    rest = [h for h in range(n) if h not in on]
+    perms = []
+    for t in automorphism_generators(core):
+        perm = list(range(n))
+        for j, h in enumerate(on):
+            perm[h] = on[t[j]]
+        perms.append(perm)
+    if len(rest) >= 2:
+        # a transposition and a cycle generate the symmetric group
+        swap = list(range(n))
+        swap[rest[0]], swap[rest[1]] = rest[1], rest[0]
+        cycle = list(range(n))
+        for h, k in zip(rest, rest[1:] + rest[:1]):
+            cycle[h] = k
+        perms += [swap, cycle]
+    ids = [i for i, bit in enumerate(reversed(bin(disjoint)[2:])) if bit == "1"]
+    keys = [[u * n + v for (u, v) in copy_edges[i]] for i in ids]
+    position = {frozenset(ks): p for p, ks in enumerate(keys)}
+    # images[g][p]: the position of the image of copy ids[p] under generator g
+    images = []
+    for perm in perms:
+        moved = [0] * (n * n)
+        for u in range(n):
+            a = perm[u]
+            for v in range(u + 1, n):
+                b = perm[v]
+                moved[u * n + v] = a * n + b if a < b else b * n + a
+        images.append([position[frozenset(map(moved.__getitem__, ks))] for ks in keys])
+    seen = [False] * len(ids)
+    minimal = 0
+    for p in range(len(ids)):
+        if seen[p]:
+            continue
+        minimal |= 1 << ids[p]
+        seen[p] = True
+        stack = [p]
+        while stack:
+            q = stack.pop()
+            for image in images:
+                r = image[q]
+                if not seen[r]:
+                    seen[r] = True
+                    stack.append(r)
+    return minimal
 
 
 def _value_cap(pattern: SimpleGraph, forbidden: SimpleGraph | None,

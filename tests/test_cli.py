@@ -464,14 +464,16 @@ def test_removed_flags_are_rejected(capsys, flag):
 
 def test_solve_recursion_is_a_clean_error():
     # K9 has 1,512 pentagons, more than the default recursion limit; the
-    # search recurses only on include, so the budget stops it instead
+    # search recurses only on include, and with the second copy pruned by
+    # the orbits of copy 0's stabilizer it proves the value in 367,748 nodes
     proc = subprocess.run(
         [sys.executable, "-m", "rainbowpack.cli",
          "solve", "--n", "9", "--F", "c5", "--G", "k3"],
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stderr == ""
-    assert '"optimal":false' in proc.stdout
+    payload = json.loads(proc.stdout)
+    assert (payload["value"], payload["optimal"]) == (4, True)
 
 
 @pytest.mark.parametrize("exc", [RecursionError("too deep"), MemoryError("full"),

@@ -51,10 +51,10 @@ CASES = {
         "3d0b5c7043708c8182655639fcbbf3fc6d7adae592eed2fe4c22617d1439db0d"),
     "solve-k3-c4-n7": (
         [["solve", "--n", "7", "--F", "k3", "--G", "c4"]], 0,
-        "15083dc47dd6e74df98334dabed8705f9fb74061f2e1288f915a5322042c85fe"),
+        "78068d02393e658d8a4d106d78b673bc2a882e1af9151a8b3e1fb0a86c6dc8d6"),
     "solve-c5-k3-n8": (
         [["solve", "--n", "8", "--F", "c5", "--G", "k3"]], 0,
-        "9ec0dc5e10b304fb910438f0a0331038e12808d9acdefa04b425ea1fe9e7b9b3"),
+        "9b8f07cf0b46ea6f6258a2e5e02571a47252349baf35e4bdd2562e1379f90975"),
     "solve-k3-none-n7": (
         [["solve", "--n", "7", "--F", "k3", "--G", "none", "--no-symmetry"]], 0,
         "eb6b2153464515e89abbe1074f2d103bd42f91a6620621a878dc6d077a8b1cc7"),

@@ -13,9 +13,9 @@ from rainbowpack import (BlowupSpec, ColoredPacking, GuardError, PackingError,
 from rainbowpack import graphs
 from rainbowpack.constructions import c5_blowup_packing, k5_double_pentagon
 from rainbowpack.graphs import (_JSON_N_LIMIT, arc_orbit_representatives,
-                                 bitmask_rows, count_triangles, embedded_edges,
-                                 embeddings, lex_min_conditions, placement,
-                                 plan_embeddings)
+                                 automorphism_generators, bitmask_rows,
+                                 count_triangles, embedded_edges, embeddings,
+                                 lex_min_conditions, placement, plan_embeddings)
 
 
 def test_edge_normalization_and_value_equality():
@@ -489,6 +489,20 @@ def _automorphisms(g: SimpleGraph) -> list[tuple[int, ...]]:
             if all(tuple(sorted((p[u], p[v]))) in g.edges for (u, v) in g.edges)]
 
 
+def _generated_group(n: int, gens) -> set[tuple[int, ...]]:
+    # every product of the generators, from the identity
+    group = {tuple(range(n))}
+    stack = list(group)
+    while stack:
+        p = stack.pop()
+        for g in gens:
+            q = tuple(g[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                stack.append(q)
+    return group
+
+
 def test_arc_orbit_representatives_against_permutations():
     # every connected labeled graph on at most 5 vertices: the
     # representatives are exactly the smallest arc of each Aut(G)-orbit
@@ -517,8 +531,9 @@ def test_arc_orbit_representatives_of_large_symmetric_graphs():
 
 def test_lex_min_conditions_against_permutations():
     # every labeled graph on at most 5 vertices, isolated vertices included:
-    # the pairs are the stabilizer-chain orbits, and the only self-map that
-    # meets them is the identity, the smallest automorphism
+    # the pairs are the stabilizer-chain orbits, the only self-map that
+    # meets them is the identity, the smallest automorphism, and the kept
+    # generators still generate every automorphism
     for n in range(1, 6):
         pairs = list(itertools.combinations(range(n), 2))
         for keep in itertools.product((False, True), repeat=len(pairs)):
@@ -530,6 +545,7 @@ def test_lex_min_conditions_against_permutations():
             assert list(conditions) == want, g
             rows = bitmask_rows(n, g.edges)
             assert list(embeddings(g, rows, less=conditions)) == [tuple(range(n))]
+            assert _generated_group(n, automorphism_generators(g)) == set(autos), g
 
 
 @st.composite
@@ -556,6 +572,7 @@ def test_automorphism_searches_against_permutations_beyond_five_vertices(g):
     assert list(lex_min_conditions(g)) == want
     assert list(embeddings(g, bitmask_rows(g.n, g.edges),
                            less=lex_min_conditions(g))) == [tuple(range(g.n))]
+    assert _generated_group(g.n, automorphism_generators(g)) == set(autos)
     if g.edges and g.is_connected():
         arcs = [(u, v) for (u, v) in g.edges] + [(v, u) for (u, v) in g.edges]
         smallest = {min((p[x], p[y]) for p in autos) for (x, y) in arcs}

@@ -161,6 +161,39 @@ def test_enumerate_copies_of_k_k_in_k_k_plus_2(k):
         SimpleGraph.complete(k), minus)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 11),
+       pattern=st.sampled_from([K3, P3, C4, C5, TWO_K2, K3_PLUS_VERTEX, VERTEX_PLUS_K3]),
+       data=st.data())
+def test_renumbered_enumeration_matches_naive_enumeration(n, pattern, data):
+    # edges only among a drawn set of vertices that holds the top id, so the
+    # others are isolated and the kernel walks the host renumbered
+    verts = sorted(set(data.draw(st.lists(st.integers(0, n - 2), max_size=n - 2))) | {n - 1})
+    pairs = list(itertools.combinations(verts, 2))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    host = SimpleGraph(n, frozenset(e for e, k in zip(pairs, keep) if k))
+    assert enumerate_copies(n, pattern, host) == naive_copies(pattern, host)
+
+
+def test_enumeration_rows_cover_only_the_non_isolated_vertices(monkeypatch):
+    # a triangle on the top three ids of 10^6 vertices: the kernel's rows
+    # are built for three vertices, not for the largest id
+    sizes = []
+
+    def recording(n, edges):
+        sizes.append(n)
+        return bitmask_rows(n, edges)
+
+    monkeypatch.setattr(solver, "bitmask_rows", recording)
+    n = 10 ** 6
+    host = SimpleGraph.from_edges(n, [(n - 3, n - 2), (n - 3, n - 1), (n - 2, n - 1)])
+    assert enumerate_copies(n, K3, host) == [(n - 3, n - 2, n - 1)]
+    assert enumerate_copies(n, K3_PLUS_VERTEX, host) == [(n - 3, n - 2, n - 1, 0)]
+    assert sizes == [3, 3]
+    # a host with no isolated vertex keeps its ids
+    assert len(enumerate_copies(5, K3)) == 10 and sizes[-1] == 5
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(n=-1, pattern=K3, forbidden=K3)
@@ -235,6 +268,62 @@ def test_symmetry_setting_does_not_change_witness():
         assert on.value == off.value
         assert on.packing.copies == off.packing.copies
         assert on.nodes <= off.nodes  # breaking symmetry can only shrink the tree
+
+
+def _stabilizer_orbit_minimal(n, pattern):
+    # the copies disjoint from copy 0 that no permutation of K_n keeping
+    # copy 0's edge set sends to a lower index, by trying every permutation
+    copies = naive_copies(pattern, SimpleGraph.complete(n))
+    edge_sets = [frozenset(embedded_edges(pattern, emb)) for emb in copies]
+    index = {edges: i for i, edges in enumerate(edge_sets)}
+
+    def moved(perm, edges):
+        return frozenset(tuple(sorted((perm[u], perm[v]))) for (u, v) in edges)
+
+    stabilizer = [perm for perm in itertools.permutations(range(n))
+                  if moved(perm, edge_sets[0]) == edge_sets[0]]
+    disjoint = [i for i, edges in enumerate(edge_sets) if not edges & edge_sets[0]]
+    minimal = [i for i in disjoint
+               if all(index[moved(perm, edge_sets[i])] >= i for perm in stabilizer)]
+    return copies, disjoint, minimal
+
+
+@pytest.mark.parametrize("pattern", [K3, P3, C4, C5, TWO_K2, K3_PLUS_VERTEX, VERTEX_PLUS_K3, PAW])
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_orbit_minimal_second_copies_against_permutations(n, pattern):
+    copies, disjoint, minimal = _stabilizer_orbit_minimal(n, pattern)
+    copy_edges = [embedded_edges(pattern, emb) for emb in copies]
+    got = solver._orbit_minimal(n, pattern, copies[0], copy_edges,
+                                sum(1 << i for i in disjoint))
+    assert got == sum(1 << i for i in minimal)
+
+
+def _without_orbits(mp):
+    # the depth-1 walk keeps every copy disjoint from copy 0
+    mp.setattr(solver, "_orbit_minimal",
+               lambda n, pattern, first, copy_edges, disjoint: disjoint)
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(3, 8),
+       pattern=st.sampled_from([K3, C4, C5, P3, TWO_K2, K3_PLUS_VERTEX]),
+       forbidden=st.sampled_from([K3, C4, C5, P4, None]),
+       budget=st.sampled_from([3_000, 50_000]))
+def test_orbit_pruning_keeps_values_and_witnesses(n, pattern, forbidden, budget):
+    cfg = SearchConfig(n=n, pattern=pattern, forbidden=forbidden, node_budget=budget)
+    res = max_rainbow_free_packing(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        _without_orbits(mp)
+        plain = max_rainbow_free_packing(cfg)
+    assert res.optimal >= plain.optimal
+    if res.optimal and plain.optimal:
+        assert (res.value, _fingerprint(res)[3]) == (plain.value, _fingerprint(plain)[3])
+    if res.optimal:
+        assert res.value >= plain.value
+    if len(enumerate_copies(n, pattern)) <= 16:
+        assert res.optimal
+        value, packing = oracle_max_packing(n, pattern, forbidden)
+        assert (res.value, res.packing.copies) == (value, packing.copies)
 
 
 def test_clique_monotonicity():
@@ -389,7 +478,9 @@ def test_vertex_cap_and_color_gate_keep_values_and_witnesses(n, pattern, forbidd
 # (value, optimal, nodes, sha256 of the packing JSON).  Nodes count every
 # copy index the include/exclude walk passes; rows with several subproblems
 # (symmetry off or an explicit host) prune against one shared incumbent,
-# and no subproblem runs once it meets the cap.  The budget-cut rows stop inside a run of clashing copies, so they pin the
+# and no subproblem runs once it meets the cap; rows with one (symmetry on,
+# complete host) walk only orbit-minimal second copies past the first.
+# The budget-cut rows stop inside a run of clashing copies, so they pin the
 # bulk node count and the position of the cut exactly.  The K3/K3 and K4/K3
 # rows end where the incumbent reaches the clique cap, the K3/K3 n = 8 rows
 # and the _HOST8 row well inside their budgets.  The K3/none n = 8, K3/C5
@@ -409,23 +500,23 @@ GOLDEN_SOLVES = [
     (dict(n=7, pattern=C5, forbidden=K3, node_budget=3000, symmetry_breaking=False),
      (2, False, 2974, "6afe7c74023be03485d493cf6bbcd0819a46e1bdf40c720f1c1ed3f9e6a64cc7")),
     (dict(n=8, pattern=C5, forbidden=K3),
-     (3, True, 131859, "54601c268590b2f5314427ab670e13a8c24e9c378910ca42385f933bda18371d")),
+     (3, True, 17875, "54601c268590b2f5314427ab670e13a8c24e9c378910ca42385f933bda18371d")),
     (dict(n=8, pattern=C5, forbidden=K3, node_budget=5000),
      (3, False, 2501, "54601c268590b2f5314427ab670e13a8c24e9c378910ca42385f933bda18371d")),
     (dict(n=7, pattern=K3, forbidden=C4, node_budget=700),
-     (4, False, 351, "b17b01d6bd8ec1366caf8ff5830a9b2562a4c7859f0eac351e344f87d4a568e7")),
+     (4, True, 321, "b17b01d6bd8ec1366caf8ff5830a9b2562a4c7859f0eac351e344f87d4a568e7")),
     (dict(n=6, pattern=K3, forbidden=C5),
      (4, True, 23, "3acddfa608ecfb3d5297842d09ff5997f6ede0934d73cc05f92a02ba8f81bf90")),
     (dict(n=7, pattern=K3, forbidden=P4),
-     (3, True, 408, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
+     (3, True, 83, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
     (dict(n=7, pattern=K3, forbidden=PAW, node_budget=3000),
-     (4, False, 1501, "42315dc0b617f2bc8a7ff37491aae09f0eef8e3944e5c33bae8e424260541ae5")),
+     (4, True, 288, "42315dc0b617f2bc8a7ff37491aae09f0eef8e3944e5c33bae8e424260541ae5")),
     (dict(n=8, pattern=K3, forbidden=None, node_budget=1000),
      (8, True, 390, "86cbc5bbb57f6a9d63e46cd3f1865ba264fe185bccb933e7ec6c903dbd3f9294")),
     (dict(n=7, pattern=K4, forbidden=K3),
      (2, True, 22, "388de8ac22b5494c75dfada1f56e88a222e17d1fb18168ed99d2f4737f17e90e")),
     (dict(n=7, pattern=C4, forbidden=K3),
-     (2, True, 1547, "f258a0f60e824ed114dbeef3a1010e90a25e4286ecdd70408bb9dafbbd0761ad")),
+     (2, True, 338, "f258a0f60e824ed114dbeef3a1010e90a25e4286ecdd70408bb9dafbbd0761ad")),
     (dict(n=10, pattern=C5, forbidden=K3, host=SimpleGraph.petersen()),
      (2, True, 14, "fc9b351bceff287fb62c78d4c230f7d9a5f542afb61ad7cb651464161c2f8c2a")),
     (dict(n=8, pattern=K3, forbidden=K3, host=_HOST8, node_budget=4000),
