@@ -288,8 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "budget // (k + 1), so half of it under symmetry "
                          "breaking, which keeps one")
     sp.add_argument("--no-symmetry", action="store_true",
-                    help="search every first copy and every second copy, "
-                         "not only copy 0 and the orbit-minimal second copies")
+                    help="turn off all three symmetry-breaking steps: search "
+                         "every first copy, not only copy 0; every second copy, "
+                         "not only the orbit-minimal ones; and every later copy, "
+                         "with no untouched-vertex skips")
     sp.add_argument("--sweep", help="n range like 4..7, emits CSV")
     common(sp)
 

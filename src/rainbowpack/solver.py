@@ -28,13 +28,22 @@ about k/(k + 1) of the budget (half under symmetry breaking, which keeps
 one subproblem).  They are solved in order against one incumbent that
 only a strictly larger packing replaces, so the result is bitwise
 identical from run to run, and none starts once the incumbent meets the cap.
-Symmetry breaking, on a complete host only, keeps the subproblem of copy
-0, as some relabeling of any optimum holds it, and its second copy walks
-only the copies that are the smallest of their orbit under the stabilizer
-of copy 0 in Sym(n).  That keeps every value and witness: the witness is
-the lexicographically smallest optimum S, and a stabilizer element g that
-moved the second copy of S lower would make g(S) a smaller one.  The
-orbits are found once the walk passes its first second copy.
+Symmetry breaking, on a complete host only, takes three steps.  It keeps
+the subproblem of copy 0, as some relabeling of any optimum holds it, and
+its second copy walks only the copies that are the smallest of their orbit
+under the stabilizer of copy 0 in Sym(n).  That keeps every value and
+witness: the witness is the lexicographically smallest optimum S, and a
+stabilizer element g that moved the second copy of S lower would make g(S)
+a smaller one.  The orbits are found once the walk passes its first second
+copy.  The untouched-vertex step then skips, at every later include, a
+copy that touches a vertex b no chosen copy touches while a lower such
+vertex a stays off it (orbital branching: Ostrowski, Linderoth, Rossi and
+Smriglio 2011).  The transposition (a b) fixes every chosen copy and
+sends each edge of the copy through b to a lower edge through a, so it
+sends the copy to one with a smaller sorted edge list, a lower index; if
+S held the copy as its next one, (a b)S would be a smaller optimum.  The
+walk hands the bitmask of the untouched vertices down the recursion, and
+a copy passes when the untouched vertices it touches are the lowest ones.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from operator import itemgetter
 
 from .errors import GuardError
 from .graphs import (ColoredPacking, SimpleGraph, arc_orbit_representatives,
-                     automorphism_generators, bitmask_rows, embedded_edges,
+                     automorphism_generators, compact_rows, embedded_edges,
                      embeddings, lex_min_conditions, placement, plan_embeddings)
 from .verifier import check_forbidden
 
@@ -93,20 +102,14 @@ def enumerate_copy_edges(n: int, pattern: SimpleGraph,
     if pattern.n > n:
         return []
     core, spots = _core(pattern)
-    # the kernel's rows cover only the host's non-isolated vertices, in
-    # ascending order, so a sparse host with high ids costs its edges, not
-    # its largest id; the renumbering keeps every order the walk uses
-    used = sorted(set().union(*host.edges))
-    if len(used) < n:
-        index = {h: j for j, h in enumerate(used)}
-        rows = bitmask_rows(len(used), [(index[u], index[v]) for (u, v) in host.edges])
-    else:
-        rows = bitmask_rows(n, host.edges)
+    # the kernel walks the host's non-isolated vertices renumbered in
+    # ascending order, which keeps every order the walk uses
+    used, rows = compact_rows(n, host.edges)
     walk = embeddings(core, rows, less=lex_min_conditions(core))
     copies = list(itertools.islice(walk, limit))
     if next(walk, None) is not None:
         raise GuardError(f"enumerate_copies guard: copies exceed {limit}")
-    if len(used) < n:
+    if used is not None:
         copies = [tuple([used[j] for j in emb]) for emb in copies]
     if core is not pattern:
         deg = pattern.degrees()
@@ -148,8 +151,8 @@ class SearchConfig:
 
     forbidden=None disables the rainbow constraint (pure packing mode).
     host=None means the complete graph on n vertices; an explicit host
-    also disables first-copy symmetry breaking, which is only sound when
-    the ground is vertex-transitive under relabeling.
+    also disables symmetry breaking, whose three steps are only sound when
+    every relabeling of the vertices keeps the host.
     """
 
     n: int
@@ -199,10 +202,13 @@ class _SubSolver:
                  copy_edges: list[list[tuple[int, int]]], budget: int,
                  second_copies: Callable[[int], int] | None = None):
         self.n = n
-        # with symmetry breaking, maps the copies disjoint from copy 0 to
-        # those the second include may take; asked only once the depth-1
-        # walk needs it
+        # given exactly under symmetry breaking: maps the copies disjoint
+        # from copy 0 to those the second include may take; asked only once
+        # the depth-1 walk needs it
         self.second_copies = second_copies
+        # the vertices the untouched-vertex step starts from: all of them
+        # under symmetry breaking, else none, which turns the step off
+        self.untouched = (1 << n) - 1 if second_copies is not None else 0
         self.forbidden = forbidden
         self.copy_edges = copy_edges
         self.budget = budget
@@ -222,9 +228,20 @@ class _SubSolver:
         self.everything = (1 << self.n_copies) - 1
         through = [0] * (n * n)
         for i, edges in enumerate(copy_edges):
+            bit = 1 << i
             for (u, v) in edges:
-                through[u * n + v] |= 1 << i
+                through[u * n + v] |= bit
         self.keep = [self.everything & ~m for m in through]
+        # touched[i]: the bitmask of the vertices on copy i's edges, which
+        # only the untouched-vertex step reads
+        self.touched = []
+        if self.untouched:
+            vertex = [1 << h for h in range(n)]
+            for edges in copy_edges:
+                mask = 0
+                for (u, v) in edges:
+                    mask |= vertex[u] | vertex[v]
+                self.touched.append(mask)
         self.best_value = 0
         self.best_chosen: tuple[int, ...] = ()
 
@@ -237,21 +254,25 @@ class _SubSolver:
         self.nbr = [0] * self.n
         self.col = [0] * (self.n * self.n)
         optimal = True
+        free = self.untouched
         try:
             self.nodes += 1
             if self._include(first):
-                self._dfs(first + 1)
+                self._dfs(first + 1, free and free & ~self.touched[first])
                 self._undo(first)
         except _BudgetUp:
             optimal = False
         return (optimal, self.nodes)
 
-    def _dfs(self, idx: int) -> None:
+    def _dfs(self, idx: int, free: int) -> None:
         """Node idx with the current union, then its exclude successors.
 
         Recurses only on include, so the depth is at most value + 1.  Every
         position the exclude walk passes still counts as one node: a copy
-        that clashes with the union is a node with no include branch.
+        that clashes with the union is a node with no include branch, and
+        so is a copy the untouched-vertex step skips.  ``free`` is the
+        bitmask of the vertices no chosen copy touches under symmetry
+        breaking, else 0; each include hands its children their own.
         """
         self.nodes += 1
         c = len(self.chosen)
@@ -272,10 +293,14 @@ class _SubSolver:
         # disjoint from copy 0, and it is the lowest of those.  The orbits
         # are found only if the walk has a second candidate before end
         orbits = self.second_copies if c == 1 else None
+        touched = self.touched
         while idx < end:
             if (walk >> idx) & 1:
-                if self._include(idx):
-                    self._dfs(idx + 1)
+                # the untouched-vertex step skips the copy unless u, the
+                # untouched vertices it touches, are the lowest untouched ones
+                if ((not free or free & ((1 << (u := touched[idx] & free).bit_length()) - 1) == u)
+                        and self._include(idx)):
+                    self._dfs(idx + 1, free and free ^ u)
                     self._undo(idx)
                     best = self.best_value
                     end = last + c - best if cap > best else 0

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AuditError, GuardError
-from .graphs import (ColoredPacking, SimpleGraph, _norm_edge, bitmask_rows,
+from .graphs import (ColoredPacking, SimpleGraph, _norm_edge, compact_rows,
                      count_triangles, embeddings)
 
 
@@ -101,10 +101,12 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     in ascending order on the packing's forward sets, so the witness
     is the lexicographically smallest rainbow triangle, and the scan
     returns None if there is none.  Any other graph takes the first map of
-    the embedding kernel, which tries host vertices in ascending order and
-    raises GuardError when the union is too sparse and wide for its
-    bitmask rows; the count never changes which witness is named.  Both
-    name vertices, whose edges are listed in G's sorted edge order.
+    the embedding kernel, which tries host vertices in ascending order on
+    the union's non-isolated vertices (see compact_rows, whose renumbering
+    keeps that order) and raises GuardError when the union is too sparse
+    and wide for its bitmask rows; the count never changes which witness
+    is named.  Both name vertices, whose edges are listed in G's sorted
+    edge order.
     """
     check_forbidden(forbidden)
     if len(packing) < forbidden.edge_count():  # fewer colors than a rainbow G has
@@ -117,8 +119,17 @@ def find_rainbow(packing: ColoredPacking, forbidden: SimpleGraph):
     if forbidden.is_cycle(3):
         verts = _find_rainbow_triangle(packing)
     else:
-        rows = bitmask_rows(packing.n, packing.union_edges())  # guarded before colors
-        verts = next(embeddings(forbidden, rows, color=packing.key_color), None)
+        union = list(packing.union_edges())
+        used, rows = compact_rows(packing.n, union)  # guarded before colors
+        color = packing.key_color
+        if used is not None:
+            # the kernel reads colors by the renumbered edge keys
+            n, m = packing.n, len(used)
+            index = {h: j for j, h in enumerate(used)}
+            color = {index[a] * m + index[b]: color[a * n + b] for (a, b) in union}
+        verts = next(embeddings(forbidden, rows, color=color), None)
+        if verts is not None and used is not None:
+            verts = tuple([used[j] for j in verts])
     if verts is None:
         return None
     edges = []

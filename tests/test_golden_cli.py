@@ -51,7 +51,7 @@ CASES = {
         "3d0b5c7043708c8182655639fcbbf3fc6d7adae592eed2fe4c22617d1439db0d"),
     "solve-k3-c4-n7": (
         [["solve", "--n", "7", "--F", "k3", "--G", "c4"]], 0,
-        "78068d02393e658d8a4d106d78b673bc2a882e1af9151a8b3e1fb0a86c6dc8d6"),
+        "86d0089c277175b7b25445525910175e357aafe3c1df3c40befdae6b7940873a"),
     "solve-c5-k3-n8": (
         [["solve", "--n", "8", "--F", "c5", "--G", "k3"]], 0,
         "9b8f07cf0b46ea6f6258a2e5e02571a47252349baf35e4bdd2562e1379f90975"),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rainbowpack import (GuardError, SearchConfig, SimpleGraph,
-                         enumerate_copies, find_rainbow,
+                         enumerate_copies, find_rainbow, graphs,
                          max_rainbow_free_packing, solver)
 from rainbowpack.graphs import (bitmask_rows, canonical_json, embedded_edges,
                                 embeddings)
@@ -184,7 +184,7 @@ def test_enumeration_rows_cover_only_the_non_isolated_vertices(monkeypatch):
         sizes.append(n)
         return bitmask_rows(n, edges)
 
-    monkeypatch.setattr(solver, "bitmask_rows", recording)
+    monkeypatch.setattr(graphs, "bitmask_rows", recording)
     n = 10 ** 6
     host = SimpleGraph.from_edges(n, [(n - 3, n - 2), (n - 3, n - 1), (n - 2, n - 1)])
     assert enumerate_copies(n, K3, host) == [(n - 3, n - 2, n - 1)]
@@ -304,16 +304,37 @@ def _without_orbits(mp):
                lambda n, pattern, first, copy_edges, disjoint: disjoint)
 
 
-@settings(max_examples=120, deadline=None)
+def _without_untouched_vertices(mp):
+    # the walk starts with no vertex untouched, so the untouched-vertex step
+    # skips none
+    init = solver._SubSolver.__init__
+
+    def no_untouched_vertices(self, *args):
+        init(self, *args)
+        self.untouched = 0
+
+    mp.setattr(solver._SubSolver, "__init__", no_untouched_vertices)
+
+
+def _without_either(mp):
+    _without_orbits(mp)
+    _without_untouched_vertices(mp)
+
+
+@settings(max_examples=200, deadline=None)
 @given(n=st.integers(3, 8),
        pattern=st.sampled_from([K3, C4, C5, P3, TWO_K2, K3_PLUS_VERTEX]),
        forbidden=st.sampled_from([K3, C4, C5, P4, None]),
-       budget=st.sampled_from([3_000, 50_000]))
-def test_orbit_pruning_keeps_values_and_witnesses(n, pattern, forbidden, budget):
+       budget=st.sampled_from([3_000, 50_000]),
+       without=st.sampled_from([_without_orbits, _without_untouched_vertices,
+                                _without_either]))
+def test_orbit_pruning_keeps_values_and_witnesses(n, pattern, forbidden, budget, without):
+    # the reference walks with the orbit step, the untouched-vertex step or
+    # both patched off
     cfg = SearchConfig(n=n, pattern=pattern, forbidden=forbidden, node_budget=budget)
     res = max_rainbow_free_packing(cfg)
     with pytest.MonkeyPatch.context() as mp:
-        _without_orbits(mp)
+        without(mp)
         plain = max_rainbow_free_packing(cfg)
     assert res.optimal >= plain.optimal
     if res.optimal and plain.optimal:
@@ -324,6 +345,49 @@ def test_orbit_pruning_keeps_values_and_witnesses(n, pattern, forbidden, budget)
         assert res.optimal
         value, packing = oracle_max_packing(n, pattern, forbidden)
         assert (res.value, res.packing.copies) == (value, packing.copies)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(4, 8),
+       pattern=st.sampled_from([K3, P3, C4, C5, TWO_K2, K3_PLUS_VERTEX, PAW]),
+       data=st.data())
+def test_untouched_vertex_step_skips_only_copies_a_swap_lowers(n, pattern, data):
+    # a random edge-disjoint prefix of copies, chosen in ascending order;
+    # the walk after it must skip only copies that some transposition of
+    # two vertices no chosen copy touches sends to a lower index
+    copies = naive_copies(pattern, SimpleGraph.complete(n))
+    if not copies:
+        return
+    copy_edges = [embedded_edges(pattern, emb) for emb in copies]
+    index = {frozenset(edges): i for i, edges in enumerate(copy_edges)}
+    picks = data.draw(st.sets(st.integers(0, len(copies) - 1), min_size=1, max_size=5))
+    prefix, taken = [], set()
+    for i in sorted(picks):
+        if not taken & set(copy_edges[i]):
+            prefix.append(i)
+            taken |= set(copy_edges[i])
+    # a symmetric search, though its second copies are never asked for
+    sub = solver._SubSolver(n, None, len(copies), copy_edges, 10 ** 9, lambda walk: walk)
+    sub.nodes, sub.chosen, sub.avail, sub.avail_stack = 0, [], sub.everything, []
+    sub.nbr, sub.col = [0] * n, [0] * (n * n)
+    for i in prefix:
+        assert sub._include(i)
+    untouched = sorted(set(range(n)).difference(*taken))
+    # every copy the walk offers is refused, so the walk stays at this node
+    offered = []
+    sub._include = lambda idx: offered.append(idx) or False
+    sub.best_value = len(prefix)
+    sub._dfs(prefix[-1] + 1, sum(1 << h for h in untouched))
+    fits = [i for i in range(prefix[-1] + 1, len(copies)) if not taken & set(copy_edges[i])]
+    assert set(offered) <= set(fits)
+
+    def swapped(edges, a, b):
+        swap = {a: b, b: a}
+        return frozenset(tuple(sorted((swap.get(u, u), swap.get(v, v)))) for (u, v) in edges)
+
+    for i in set(fits) - set(offered):
+        assert any(index[swapped(copy_edges[i], a, b)] < i
+                   for a, b in itertools.combinations(untouched, 2)), (prefix, i)
 
 
 def test_clique_monotonicity():
@@ -479,7 +543,8 @@ def test_vertex_cap_and_color_gate_keep_values_and_witnesses(n, pattern, forbidd
 # copy index the include/exclude walk passes; rows with several subproblems
 # (symmetry off or an explicit host) prune against one shared incumbent,
 # and no subproblem runs once it meets the cap; rows with one (symmetry on,
-# complete host) walk only orbit-minimal second copies past the first.
+# complete host) walk only orbit-minimal second copies past the first, and
+# skip the later copies that a swap of two untouched vertices would lower.
 # The budget-cut rows stop inside a run of clashing copies, so they pin the
 # bulk node count and the position of the cut exactly.  The K3/K3 and K4/K3
 # rows end where the incumbent reaches the clique cap, the K3/K3 n = 8 rows
@@ -490,9 +555,9 @@ _HOST8 = SimpleGraph.from_edges(
     8, [(u, v) for u in range(8) for v in range(u + 1, 8) if (5 * u + 3 * v) % 7])
 GOLDEN_SOLVES = [
     (dict(n=8, pattern=K3, forbidden=K3, node_budget=500),
-     (4, True, 166, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
+     (4, True, 93, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
     (dict(n=8, pattern=K3, forbidden=K3, node_budget=2000),
-     (4, True, 166, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
+     (4, True, 93, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
     (dict(n=7, pattern=K3, forbidden=K3),
      (3, True, 18, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
     (dict(n=7, pattern=K3, forbidden=K3, symmetry_breaking=False),
@@ -504,13 +569,13 @@ GOLDEN_SOLVES = [
     (dict(n=8, pattern=C5, forbidden=K3, node_budget=5000),
      (3, False, 2501, "54601c268590b2f5314427ab670e13a8c24e9c378910ca42385f933bda18371d")),
     (dict(n=7, pattern=K3, forbidden=C4, node_budget=700),
-     (4, True, 321, "b17b01d6bd8ec1366caf8ff5830a9b2562a4c7859f0eac351e344f87d4a568e7")),
+     (4, True, 249, "b17b01d6bd8ec1366caf8ff5830a9b2562a4c7859f0eac351e344f87d4a568e7")),
     (dict(n=6, pattern=K3, forbidden=C5),
      (4, True, 23, "3acddfa608ecfb3d5297842d09ff5997f6ede0934d73cc05f92a02ba8f81bf90")),
     (dict(n=7, pattern=K3, forbidden=P4),
      (3, True, 83, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
     (dict(n=7, pattern=K3, forbidden=PAW, node_budget=3000),
-     (4, True, 288, "42315dc0b617f2bc8a7ff37491aae09f0eef8e3944e5c33bae8e424260541ae5")),
+     (4, True, 208, "42315dc0b617f2bc8a7ff37491aae09f0eef8e3944e5c33bae8e424260541ae5")),
     (dict(n=8, pattern=K3, forbidden=None, node_budget=1000),
      (8, True, 390, "86cbc5bbb57f6a9d63e46cd3f1865ba264fe185bccb933e7ec6c903dbd3f9294")),
     (dict(n=7, pattern=K4, forbidden=K3),
@@ -523,9 +588,9 @@ GOLDEN_SOLVES = [
      (4, True, 54, "39431d151fcc23dbd544217724212c293e0904b1d586d63fae60297ce6d9d620")),
     # without the clique cap these took 85,804 and 2,082,057 nodes
     (dict(n=9, pattern=K3, forbidden=K3),
-     (6, True, 1171, "b22244a938e18e37d162de2d2012ea8422039181682135b8d1f7db1cfddad60c")),
+     (6, True, 314, "b22244a938e18e37d162de2d2012ea8422039181682135b8d1f7db1cfddad60c")),
     (dict(n=10, pattern=K3, forbidden=K3),
-     (6, True, 14906, "8949ca00230c9ce917fd432c38e27f5c0ebff2a8e003a11227379729ebfa5a24")),
+     (6, True, 831, "8949ca00230c9ce917fd432c38e27f5c0ebff2a8e003a11227379729ebfa5a24")),
 ]
 
 

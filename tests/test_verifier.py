@@ -269,6 +269,47 @@ def test_find_rainbow_matches_kernel_and_naive_oracle(pattern, forbidden, n, per
     w.check(p, forbidden)
 
 
+@settings(max_examples=100, deadline=None)
+@given(pattern=st.sampled_from([K3, P3, SimpleGraph.cycle(4), C5]),
+       forbidden=st.sampled_from([SimpleGraph.cycle(4), C5, SimpleGraph.path(4),
+                                  SimpleGraph.complete(4), CENSUS_FORBIDDEN[1]]),
+       n=st.integers(5, 9), perms=st.lists(st.permutations(range(9)), max_size=16),
+       ids=st.sets(st.integers(0, 10 ** 6 - 1), min_size=9, max_size=9))
+@example(pattern=P3, forbidden=SimpleGraph.cycle(4), n=9,
+         perms=RAINBOW_WITHOUT_TRIANGLES, ids=set(range(10 ** 6 - 9, 10 ** 6)))
+def test_find_rainbow_names_the_same_witness_on_high_ids(pattern, forbidden, n, perms, ids):
+    # the packing moved onto ascending ids among 10^6 vertices: the kernel
+    # walks the union's vertices renumbered, and names the moved witness
+    maps = [tuple(v for v in perm if v < n)[:pattern.n] for perm in perms]
+    p = _greedy_packing(n, pattern, maps)
+    ids = sorted(ids)[:n]
+    moved = ColoredPacking(10 ** 6, pattern, [tuple(ids[v] for v in emb) for emb in p.copies])
+    w, w_moved = find_rainbow(p, forbidden), find_rainbow(moved, forbidden)
+    if w is None:
+        assert w_moved is None
+        return
+    assert w_moved.vertices == tuple(ids[v] for v in w.vertices)
+    assert [c for (_, _, c) in w_moved.edges] == [c for (_, _, c) in w.edges]
+    w_moved.check(moved, forbidden)
+
+
+def test_find_rainbow_rows_cover_only_the_union_vertices(monkeypatch):
+    # 200 disjoint triangles on the top ids of 10^6 vertices: the C4 search
+    # builds rows for the 600 vertices on a copy, not for the largest id
+    sizes = []
+
+    def recording(n, edges):
+        sizes.append(n)
+        return bitmask_rows(n, edges)
+
+    monkeypatch.setattr(graphs, "bitmask_rows", recording)
+    n = 10 ** 6
+    p = ColoredPacking(n, K3, [(n - 600 + 3 * i, n - 599 + 3 * i, n - 598 + 3 * i)
+                               for i in range(200)])
+    assert find_rainbow(p, SimpleGraph.cycle(4)) is None
+    assert sizes == [600]
+
+
 @settings(max_examples=200, deadline=None)
 @given(pattern=st.sampled_from([K3, P3, SimpleGraph.cycle(4), C5]),
        forbidden=st.sampled_from([K3, SimpleGraph.cycle(4), C5, SimpleGraph.path(4),
