@@ -284,9 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--F", dest="pattern", default="k3")
     sp.add_argument("--G", dest="forbidden", default="k3")
     sp.add_argument("--budget", type=int, default=10_000_000,
-                    help="search nodes; each of the k subproblems gets "
-                         "budget // (k + 1), so half of it under symmetry "
-                         "breaking, which keeps one")
+                    help="search nodes")
     sp.add_argument("--no-symmetry", action="store_true",
                     help="turn off all three symmetry-breaking steps: search "
                          "every first copy, not only copy 0; every second copy, "

@@ -178,8 +178,8 @@ def embedded_edges(pattern: SimpleGraph, emb) -> list[tuple[int, int]]:
 
 def bitmask_rows(n: int, edges) -> list[int]:
     """Bitmask rows (row h: h's neighbors) of the graph on 0..n-1 with these
-    edges; GuardError before any row is built if they pass _ROW_BYTES_LIMIT."""
-    edges = list(edges)
+    edges; GuardError before any row is built if they pass _ROW_BYTES_LIMIT.
+    The edges are read twice, so they come as a collection."""
     top = [0] * n
     for (u, v) in edges:
         top[u], top[v] = max(top[u], v), max(top[v], u)
@@ -692,21 +692,38 @@ def _automorphism_sending(g: SimpleGraph, first, images) -> tuple[int, ...] | No
 def arc_orbit_representatives(g: SimpleGraph) -> list[tuple[int, int]]:
     """One arc from each orbit of Aut(g) on g's arcs, the two orientations
     (u, v) and (v, u) of every edge; each representative is the smallest
-    arc of its orbit, and they come in ascending order.  An arc joins the
-    orbit of a representative when _automorphism_sending maps one to the
-    other.
+    arc of its orbit, and they come in ascending order.  The orbits are the
+    closure of the arcs under automorphism_generators(g).
     """
     arcs = sorted(itertools.chain(g.edges, ((v, u) for (u, v) in g.edges)))
-    reps: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for arc in arcs:
-        if arc in seen:
+    index = {arc: p for p, arc in enumerate(arcs)}
+    maps = [[index[t[u], t[v]] for (u, v) in arcs] for t in automorphism_generators(g)]
+    least = orbit_minima(len(arcs), maps)
+    return [arc for p, arc in enumerate(arcs) if least[p] == p]
+
+
+def orbit_minima(size: int, maps) -> list[int]:
+    """The smallest point of the orbit of each point 0..size-1 under the
+    group the maps generate, each map the list of every point's image.
+
+    A closure walk from each point not yet reached, in ascending order, so
+    the point it starts from is the least of its orbit.  The generators
+    alone close an orbit, as every inverse in a finite group is a power.
+    """
+    least = [-1] * size
+    for p in range(size):
+        if least[p] >= 0:
             continue
-        reps.append(arc)
-        for other in arcs:
-            if other not in seen and _automorphism_sending(g, arc, other) is not None:
-                seen.add(other)
-    return reps
+        least[p] = p
+        stack = [p]
+        while stack:
+            q = stack.pop()
+            for m in maps:
+                r = m[q]
+                if least[r] < 0:
+                    least[r] = p
+                    stack.append(r)
+    return least
 
 
 @functools.lru_cache(maxsize=256)
@@ -756,13 +773,7 @@ def automorphism_generators(g: SimpleGraph) -> list[tuple[int, ...]]:
     """
     kept: list[tuple[int, ...]] = []
     for (i, v), t in reversed(_stabilizer_chain(g)):
-        orbit, stack = {i}, [i]
-        while stack:
-            w = stack.pop()
-            for k in kept:
-                if k[w] not in orbit:
-                    orbit.add(k[w])
-                    stack.append(k[w])
-        if v not in orbit:
+        least = orbit_minima(g.n, kept)
+        if least[v] != least[i]:
             kept.append(t)
     return kept

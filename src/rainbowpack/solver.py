@@ -22,23 +22,20 @@ neighbors of each new edge's ends; any other G runs the embedding kernel
 with the pin.  A rainbow G has e(G) edges of distinct colors, so neither
 check runs while the packing, new copy included, has fewer than e(G)
 copies.
-The tree is split into subproblems keyed by the first included copy, each
-of the k of them with budget // (k + 1) nodes, so a search stops after
-about k/(k + 1) of the budget (half under symmetry breaking, which keeps
-one subproblem).  They are solved in order against one incumbent that
-only a strictly larger packing replaces, so the result is bitwise
-identical from run to run, and none starts once the incumbent meets the cap.
-Symmetry breaking, on a complete host only, takes three steps.  It keeps
-the subproblem of copy 0, as some relabeling of any optimum holds it, and
-its second copy walks only the copies that are the smallest of their orbit
-under the stabilizer of copy 0 in Sym(n).  That keeps every value and
-witness: the witness is the lexicographically smallest optimum S, and a
-stabilizer element g that moved the second copy of S lower would make g(S)
-a smaller one.  The orbits are found once the walk passes its first second
-copy.  The untouched-vertex step then skips, at every later include, a
-copy that touches a vertex b no chosen copy touches while a lower such
-vertex a stays off it (orbital branching: Ostrowski, Linderoth, Rossi and
-Smriglio 2011).  The transposition (a b) fixes every chosen copy and
+The whole tree is one walk from the root, the empty packing, against the
+whole node budget; the root is no copy position, so it is not a node.
+Symmetry breaking, on a complete host only, takes three steps.  The root's
+walk takes copy 0 alone: every copy of the pattern in K_n lies in copy 0's
+Sym(n)-orbit, so some relabeling of any optimum holds it.  The second copy
+walks only the copies that are the smallest of their orbit under the
+stabilizer of copy 0 in Sym(n).  That keeps every value and witness: the
+witness is the lexicographically smallest optimum S, and a stabilizer
+element g that moved the second copy of S lower would make g(S) a smaller
+one.  The orbits are found once the walk passes its first second copy.
+The untouched-vertex step then skips, at every later include, a copy that
+touches a vertex b no chosen copy touches while a lower such vertex a
+stays off it (orbital branching: Ostrowski, Linderoth, Rossi and Smriglio
+2011).  The transposition (a b) fixes every chosen copy and
 sends each edge of the copy through b to a lower edge through a, so it
 sends the copy to one with a smaller sorted edge list, a lower index; if
 S held the copy as its next one, (a b)S would be a smaller optimum.  The
@@ -57,7 +54,8 @@ from operator import itemgetter
 from .errors import GuardError
 from .graphs import (ColoredPacking, SimpleGraph, arc_orbit_representatives,
                      automorphism_generators, compact_rows, embedded_edges,
-                     embeddings, lex_min_conditions, placement, plan_embeddings)
+                     embeddings, lex_min_conditions, orbit_minima, placement,
+                     plan_embeddings)
 from .verifier import check_forbidden
 
 _SOLVER_N_LIMIT = 12
@@ -181,11 +179,10 @@ class _BudgetUp(Exception):
     pass
 
 
-class _SubSolver:
-    """Subproblem search: run(first) covers the packings whose first
-    included copy is ``first``.  It resets the union but keeps the
-    incumbent (best_value, best_chosen), so each subproblem in turn prunes
-    against the best packing found so far.
+class _Search:
+    """The walk from the root: run() covers every packing, and the
+    incumbent (best_value, best_chosen) is replaced only by a strictly
+    larger packing, so the result is the same from run to run.
 
     The union is kept in every mode by the kernel's edge key u*n + v,
     u < v, and an include or an undo is one pass over the copy's edges.
@@ -213,6 +210,9 @@ class _SubSolver:
         self.copy_edges = copy_edges
         self.budget = budget
         self.n_copies = len(copy_edges)
+        # the copies the root's walk may take first: copy 0 alone under
+        # symmetry breaking
+        self.root_end = 1 if second_copies is not None else self.n_copies
         self.cap = cap  # no packing has more copies
         # a rainbow G takes one edge from each of e(G) copies
         self.rainbow_edges = forbidden.edge_count() if forbidden is not None else 0
@@ -244,37 +244,33 @@ class _SubSolver:
                 self.touched.append(mask)
         self.best_value = 0
         self.best_chosen: tuple[int, ...] = ()
-
-    def run(self, first: int) -> tuple[bool, int]:
-        """Returns (optimal, nodes) of this subproblem."""
         self.nodes = 0
         self.chosen: list[int] = []
         self.avail = self.everything
         self.avail_stack: list[int] = []
-        self.nbr = [0] * self.n
-        self.col = [0] * (self.n * self.n)
-        optimal = True
-        free = self.untouched
+        self.nbr = [0] * n
+        self.col = [0] * (n * n)
+
+    def run(self) -> bool:
+        """Walks the tree; False when the budget ran out first."""
         try:
-            self.nodes += 1
-            if self._include(first):
-                self._dfs(first + 1, free and free & ~self.touched[first])
-                self._undo(first)
+            self._dfs(0, self.untouched)
         except _BudgetUp:
-            optimal = False
-        return (optimal, self.nodes)
+            return False
+        return True
 
     def _dfs(self, idx: int, free: int) -> None:
-        """Node idx with the current union, then its exclude successors.
+        """Node idx with the current union, the root when it is empty, then
+        its exclude successors.
 
-        Recurses only on include, so the depth is at most value + 1.  Every
-        position the exclude walk passes still counts as one node: a copy
-        that clashes with the union is a node with no include branch, and
-        so is a copy the untouched-vertex step skips.  ``free`` is the
-        bitmask of the vertices no chosen copy touches under symmetry
-        breaking, else 0; each include hands its children their own.
+        Recurses only on include, so the depth is at most value + 1.  Each
+        include counts the node it leads to, and every position the exclude
+        walk passes counts as one node: a copy that clashes with the union
+        is a node with no include branch, and so is a copy the
+        untouched-vertex step skips.  ``free`` is the bitmask of the
+        vertices no chosen copy touches under symmetry breaking, else 0;
+        each include hands its children their own.
         """
-        self.nodes += 1
         c = len(self.chosen)
         if c > self.best_value:
             self.best_value = c
@@ -283,7 +279,7 @@ class _SubSolver:
             raise _BudgetUp
         # while the cap is unmet, node p passes the bound c + copies left
         # > best exactly when p < end, so the walk stops at end
-        last = self.n_copies
+        last = self.n_copies if c else self.root_end
         cap = self.cap
         end = last + c - self.best_value if cap > self.best_value else 0
         # avail is the same again after every undo, so the walk reads it once
@@ -300,6 +296,7 @@ class _SubSolver:
                 # untouched vertices it touches, are the lowest untouched ones
                 if ((not free or free & ((1 << (u := touched[idx] & free).bit_length()) - 1) == u)
                         and self._include(idx)):
+                    self.nodes += 1
                     self._dfs(idx + 1, free and free ^ u)
                     self._undo(idx)
                     best = self.best_value
@@ -398,18 +395,14 @@ def max_rainbow_free_packing(cfg: SearchConfig) -> SearchResult:
     copy_edges = [edges for _, edges in found]
 
     symmetric_ground = cfg.host is None and cfg.symmetry_breaking
-    firsts = ([0] if copies else []) if symmetric_ground else list(range(len(copies)))
-    budget_per = max(1, cfg.node_budget // (len(firsts) + 1))
     second_copies = (functools.partial(_orbit_minimal, cfg.n, cfg.pattern, copies[0], copy_edges)
                      if symmetric_ground and copies else None)
 
     cap = _value_cap(cfg.pattern, cfg.forbidden, host, copies)
-    sub = _SubSolver(cfg.n, cfg.forbidden, cap, copy_edges, budget_per, second_copies)
-    runs = [sub.run(first) for first in firsts if sub.best_value < cap]
-    optimal = all(ok for (ok, _) in runs)
-    nodes = sum(sub_nodes for (_, sub_nodes) in runs)
-    packing = ColoredPacking(cfg.n, cfg.pattern, [copies[i] for i in sub.best_chosen])
-    return SearchResult(sub.best_value, packing, optimal, nodes)
+    search = _Search(cfg.n, cfg.forbidden, cap, copy_edges, cfg.node_budget, second_copies)
+    optimal = search.run()
+    packing = ColoredPacking(cfg.n, cfg.pattern, [copies[i] for i in search.best_chosen])
+    return SearchResult(search.best_value, packing, optimal, search.nodes)
 
 
 def _orbit_minimal(n: int, pattern: SimpleGraph, first: tuple[int, ...],
@@ -426,7 +419,8 @@ def _orbit_minimal(n: int, pattern: SimpleGraph, first: tuple[int, ...],
     one cycle of the other vertices generate the stabilizer, and an orbit
     is the closure of one copy under them (McKay and Piperno 2014).  The
     stabilizer keeps the disjoint copies among themselves, so a table from
-    their edge-key sets u*n + v, u < v, to their positions finds each image.
+    their edge-key sets u*n + v, u < v, to their positions finds each image
+    for orbit_minima.
     """
     core, spots = _core(pattern)
     on = [first[v] for v in spots]
@@ -458,22 +452,8 @@ def _orbit_minimal(n: int, pattern: SimpleGraph, first: tuple[int, ...],
                 b = perm[v]
                 moved[u * n + v] = a * n + b if a < b else b * n + a
         images.append([position[frozenset(map(moved.__getitem__, ks))] for ks in keys])
-    seen = [False] * len(ids)
-    minimal = 0
-    for p in range(len(ids)):
-        if seen[p]:
-            continue
-        minimal |= 1 << ids[p]
-        seen[p] = True
-        stack = [p]
-        while stack:
-            q = stack.pop()
-            for image in images:
-                r = image[q]
-                if not seen[r]:
-                    seen[r] = True
-                    stack.append(r)
-    return minimal
+    least = orbit_minima(len(ids), images)
+    return sum(1 << ids[p] for p in range(len(ids)) if least[p] == p)
 
 
 def _value_cap(pattern: SimpleGraph, forbidden: SimpleGraph | None,

@@ -529,6 +529,31 @@ def test_arc_orbit_representatives_of_large_symmetric_graphs():
     assert arc_orbit_representatives(SimpleGraph.petersen()) == [(0, 1)]
 
 
+@pytest.mark.parametrize("g", [SimpleGraph.cycle(5), SimpleGraph.path(4),
+                               SimpleGraph.complete(4), SimpleGraph.petersen()],
+                         ids=["C5", "P4", "K4", "Petersen"])
+def test_arc_orbits_need_no_search_once_the_generators_are_cached(g, monkeypatch):
+    # the orbits are the closure of the arcs under automorphism_generators,
+    # whose stabilizer chain is cached; no pair of arcs is searched for
+    want = arc_orbit_representatives(g)
+    calls = []
+    search = graphs._automorphism_sending
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(graphs, "_automorphism_sending", counting)
+    assert arc_orbit_representatives(g) == want
+    assert calls == []
+
+
+def test_orbit_minima():
+    # a 3-cycle on 1, 2, 4 and a swap of 3 and 5; 0 is fixed
+    assert graphs.orbit_minima(6, [[0, 2, 4, 5, 1, 3]]) == [0, 1, 1, 3, 1, 3]
+    assert graphs.orbit_minima(3, []) == [0, 1, 2]
+
+
 def test_lex_min_conditions_against_permutations():
     # every labeled graph on at most 5 vertices, isolated vertices included:
     # the pairs are the stabilizer-chain orbits, the only self-map that

@@ -230,7 +230,7 @@ def test_double_pentagon_value():
 
 
 def test_solver_equals_oracle_with_identical_witness():
-    # symmetry off solves one subproblem per first copy, all against one
+    # symmetry off walks every first copy from the root against one
     # incumbent; the witness must still be the oracle's lex-min packing
     for pattern in (K3, K4, C5):
         for n in range(pattern.n, 6):
@@ -307,13 +307,13 @@ def _without_orbits(mp):
 def _without_untouched_vertices(mp):
     # the walk starts with no vertex untouched, so the untouched-vertex step
     # skips none
-    init = solver._SubSolver.__init__
+    init = solver._Search.__init__
 
     def no_untouched_vertices(self, *args):
         init(self, *args)
         self.untouched = 0
 
-    mp.setattr(solver._SubSolver, "__init__", no_untouched_vertices)
+    mp.setattr(solver._Search, "__init__", no_untouched_vertices)
 
 
 def _without_either(mp):
@@ -367,9 +367,7 @@ def test_untouched_vertex_step_skips_only_copies_a_swap_lowers(n, pattern, data)
             prefix.append(i)
             taken |= set(copy_edges[i])
     # a symmetric search, though its second copies are never asked for
-    sub = solver._SubSolver(n, None, len(copies), copy_edges, 10 ** 9, lambda walk: walk)
-    sub.nodes, sub.chosen, sub.avail, sub.avail_stack = 0, [], sub.everything, []
-    sub.nbr, sub.col = [0] * n, [0] * (n * n)
+    sub = solver._Search(n, None, len(copies), copy_edges, 10 ** 9, lambda walk: walk)
     for i in prefix:
         assert sub._include(i)
     untouched = sorted(set(range(n)).difference(*taken))
@@ -420,6 +418,26 @@ def test_explicit_host():
         assert set(embedded_edges(C5, emb)) <= pet.edges
 
 
+def test_small_host_is_proved_within_one_budget():
+    # every first copy of this 24-copy host is walked against the one
+    # budget, so the whole search, 3,641 nodes, fits into 20,000
+    host = SimpleGraph.from_edges(7, [(0, 6), (1, 2), (1, 5), (2, 3), (2, 4), (2, 5),
+                                      (3, 4), (3, 5), (4, 5), (5, 6)])
+    res = max_rainbow_free_packing(SearchConfig(n=7, pattern=P3, forbidden=K3, host=host,
+                                                node_budget=20_000))
+    assert (res.value, res.optimal, res.nodes) == (4, True, 3_641)
+    value, packing = oracle_max_packing(7, P3, K3, host)
+    assert (res.value, res.packing.copies) == (value, packing.copies)
+
+
+def test_whole_budget_is_spent():
+    # symmetry breaking walks copy 0 alone from the root, with all of the
+    # budget
+    res = max_rainbow_free_packing(SearchConfig(n=9, pattern=C5, forbidden=K3,
+                                                node_budget=20_000))
+    assert (res.optimal, res.nodes) == (False, 20_001)
+
+
 def test_budget_exhaustion_degrades_to_lower_bound():
     res = max_rainbow_free_packing(
         SearchConfig(n=7, pattern=K3, forbidden=K3, node_budget=1))
@@ -429,8 +447,9 @@ def test_budget_exhaustion_degrades_to_lower_bound():
 
 
 def test_budget_cut_keeps_the_copy_it_just_accepted():
-    # the one copy of K3 in K3 is included on node 1 and the budget runs out
-    # on node 2, after the incumbent has taken it
+    # the one copy of K3 in K3 is included on node 1, and the budget runs
+    # out on node 2, the root walk's step past it, after the incumbent has
+    # taken it
     res = max_rainbow_free_packing(SearchConfig(n=3, pattern=K3, forbidden=K3, node_budget=1))
     assert (res.value, res.optimal, res.nodes) == (1, False, 2)
     assert res.packing.copies == ((0, 1, 2),)
@@ -505,13 +524,13 @@ def _without_counting_facts(mp):
     # the edge cap alone for the vertex cap, and a rainbow check on every
     # include, however few copies the packing holds
     mp.setattr(solver, "_vertex_cap", lambda pattern, host: host.edge_count())
-    init = solver._SubSolver.__init__
+    init = solver._Search.__init__
 
     def check_every_include(self, *args):
         init(self, *args)
         self.rainbow_edges = 0
 
-    mp.setattr(solver._SubSolver, "__init__", check_every_include)
+    mp.setattr(solver._Search, "__init__", check_every_include)
 
 
 @settings(max_examples=120, deadline=None)
@@ -540,10 +559,11 @@ def test_vertex_cap_and_color_gate_keep_values_and_witnesses(n, pattern, forbidd
 
 
 # (value, optimal, nodes, sha256 of the packing JSON).  Nodes count every
-# copy index the include/exclude walk passes; rows with several subproblems
-# (symmetry off or an explicit host) prune against one shared incumbent,
-# and no subproblem runs once it meets the cap; rows with one (symmetry on,
-# complete host) walk only orbit-minimal second copies past the first, and
+# copy index the include/exclude walk passes, and every run walks from the
+# root against its whole budget.  Rows with symmetry off or an explicit
+# host walk every first copy, and the root's walk ends once the incumbent
+# meets the cap; rows with symmetry on and a complete host take copy 0
+# alone first, walk only orbit-minimal second copies past the first, and
 # skip the later copies that a swap of two untouched vertices would lower.
 # The budget-cut rows stop inside a run of clashing copies, so they pin the
 # bulk node count and the position of the cut exactly.  The K3/K3 and K4/K3
@@ -563,11 +583,11 @@ GOLDEN_SOLVES = [
     (dict(n=7, pattern=K3, forbidden=K3, symmetry_breaking=False),
      (3, True, 18, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
     (dict(n=7, pattern=C5, forbidden=K3, node_budget=3000, symmetry_breaking=False),
-     (2, False, 2974, "6afe7c74023be03485d493cf6bbcd0819a46e1bdf40c720f1c1ed3f9e6a64cc7")),
+     (3, False, 3001, "1ca1bab77af22b25d3095e50211824650e37c3933b389311f837103230005946")),
     (dict(n=8, pattern=C5, forbidden=K3),
      (3, True, 17875, "54601c268590b2f5314427ab670e13a8c24e9c378910ca42385f933bda18371d")),
     (dict(n=8, pattern=C5, forbidden=K3, node_budget=5000),
-     (3, False, 2501, "54601c268590b2f5314427ab670e13a8c24e9c378910ca42385f933bda18371d")),
+     (3, False, 5001, "54601c268590b2f5314427ab670e13a8c24e9c378910ca42385f933bda18371d")),
     (dict(n=7, pattern=K3, forbidden=C4, node_budget=700),
      (4, True, 249, "b17b01d6bd8ec1366caf8ff5830a9b2562a4c7859f0eac351e344f87d4a568e7")),
     (dict(n=6, pattern=K3, forbidden=C5),
@@ -673,7 +693,7 @@ def test_anchored_check_matches_the_whole_union_check(n, pattern, forbidden, dat
                        node_budget=2000)
     anchored = max_rainbow_free_packing(cfg)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver._SubSolver, "_makes_rainbow", _whole_union_check)
+        mp.setattr(solver._Search, "_makes_rainbow", _whole_union_check)
         whole = max_rainbow_free_packing(cfg)
     assert _fingerprint(anchored) == _fingerprint(whole)
     assert not naive_rainbow_scan(n, anchored.packing.edge_color, forbidden)
@@ -683,7 +703,7 @@ def test_anchored_check_matches_the_whole_union_check(n, pattern, forbidden, dat
 def _undo_with_sentinels(mp):
     # every undo leaves a fresh color in each removed key, one no copy has
     # and no other key shares, so a read of a stale color changes a verdict
-    undo = solver._SubSolver._undo
+    undo = solver._Search._undo
     fresh = itertools.count(-1, -1)
 
     def undo_and_scribble(self, idx):
@@ -691,7 +711,7 @@ def _undo_with_sentinels(mp):
         for (u, v) in self.copy_edges[idx]:
             self.col[u * self.n + v] = next(fresh)
 
-    mp.setattr(solver._SubSolver, "_undo", undo_and_scribble)
+    mp.setattr(solver._Search, "_undo", undo_and_scribble)
 
 
 @settings(max_examples=300, deadline=None)

@@ -258,7 +258,7 @@ def test_find_rainbow_matches_kernel_and_naive_oracle(pattern, forbidden, n, per
         return
     # a witness is the kernel's first rainbow map, whether or not a count ran
     col = p.edge_color
-    rows = bitmask_rows(n, p.union_edges())
+    rows = bitmask_rows(n, list(p.union_edges()))
     key_color = {u * n + v: c for (u, v), c in col.items()}
     verts = next(embeddings(forbidden, rows, color=key_color))
     want = []
@@ -332,7 +332,7 @@ def test_find_rainbow_needs_as_many_copies_as_g_has_edges(pattern, forbidden, n,
     if forbidden.is_cycle(3):
         want = _find_rainbow_triangle(p)
     else:
-        want = next(embeddings(forbidden, bitmask_rows(n, p.union_edges()),
+        want = next(embeddings(forbidden, bitmask_rows(n, list(p.union_edges())),
                                color=p.key_color), None)
     w = None if w is None else w.vertices
     if len(p) < forbidden.edge_count():
