@@ -9,10 +9,11 @@ copy that fits; every copy index it passes still counts as one node.
 A copy that would create a rainbow copy of the forbidden graph G is
 rejected when it is included.  Value pruning stops the walk once the
 incumbent reaches the cap of _value_cap: the copies that fit into the
-host's edges, the vertex cap, and, for F = K_t under G = K3, the clique
-cap of _clique_cap.  The incumbent is replaced only by a strictly larger
-packing and the cap is at least the optimum, so the cap never changes
-the value or the witness, only where the walk may stop.
+host's edges, the vertex cap, and, under G = K3, the triangle cap of
+_triangle_cap and, for F = K_t, the clique cap of _clique_cap.  The
+incumbent is replaced only by a strictly larger packing and the cap is
+at least the optimum, so the cap never changes the value or the
+witness, only where the walk may stop.
 The check looks only at the new copy's edges: every accepted include
 passed it, so the union had no rainbow G before; the new edges share one
 color, so a new rainbow G uses exactly one of them; and pinning one arc
@@ -53,9 +54,9 @@ from operator import itemgetter
 
 from .errors import GuardError
 from .graphs import (ColoredPacking, SimpleGraph, arc_orbit_representatives,
-                     automorphism_generators, compact_rows, embedded_edges,
-                     embeddings, lex_min_conditions, orbit_minima, placement,
-                     plan_embeddings)
+                     automorphism_generators, compact_rows, count_triangles,
+                     embedded_edges, embeddings, lex_min_conditions,
+                     orbit_minima, placement, plan_embeddings)
 from .verifier import check_forbidden
 
 _SOLVER_N_LIMIT = 12
@@ -197,7 +198,8 @@ class _Search:
 
     def __init__(self, n: int, forbidden: SimpleGraph | None, cap: int,
                  copy_edges: list[list[tuple[int, int]]], budget: int,
-                 second_copies: Callable[[int], int] | None = None):
+                 second_copies: Callable[[int], int] | None = None,
+                 triangle: bool = False):
         self.n = n
         # given exactly under symmetry breaking: maps the copies disjoint
         # from copy 0 to those the second include may take; asked only once
@@ -216,7 +218,7 @@ class _Search:
         self.cap = cap  # no packing has more copies
         # a rainbow G takes one edge from each of e(G) copies
         self.rainbow_edges = forbidden.edge_count() if forbidden is not None else 0
-        self.fast_triangle = forbidden is not None and forbidden.is_cycle(3)
+        self.fast_triangle = triangle  # the caller found forbidden to be K3
         self.generic = forbidden is not None and not self.fast_triangle
         if self.generic:
             # one placement plan per Aut(G)-orbit of G's arcs, with the
@@ -398,8 +400,10 @@ def max_rainbow_free_packing(cfg: SearchConfig) -> SearchResult:
     second_copies = (functools.partial(_orbit_minimal, cfg.n, cfg.pattern, copies[0], copy_edges)
                      if symmetric_ground and copies else None)
 
-    cap = _value_cap(cfg.pattern, cfg.forbidden, host, copies)
-    search = _Search(cfg.n, cfg.forbidden, cap, copy_edges, cfg.node_budget, second_copies)
+    triangle = cfg.forbidden is not None and cfg.forbidden.is_cycle(3)
+    cap = _value_cap(cfg.pattern, triangle, host, copies)
+    search = _Search(cfg.n, cfg.forbidden, cap, copy_edges, cfg.node_budget,
+                     second_copies, triangle)
     optimal = search.run()
     packing = ColoredPacking(cfg.n, cfg.pattern, [copies[i] for i in search.best_chosen])
     return SearchResult(search.best_value, packing, optimal, search.nodes)
@@ -456,17 +460,20 @@ def _orbit_minimal(n: int, pattern: SimpleGraph, first: tuple[int, ...],
     return sum(1 << ids[p] for p in range(len(ids)) if least[p] == p)
 
 
-def _value_cap(pattern: SimpleGraph, forbidden: SimpleGraph | None,
+def _value_cap(pattern: SimpleGraph, triangle: bool,
                host: SimpleGraph, copies: list[tuple[int, ...]]) -> int:
     """No rainbow-free packing of the pattern's copies in the host has
     more copies than this: the least of the edge cap e(H) // e(F), the
-    vertex cap of _vertex_cap and, for F = K_t (t >= 3) under G = K3, the
-    clique cap of _clique_cap on the vertices that lie on some copy."""
+    vertex cap of _vertex_cap and, when the forbidden graph is a triangle,
+    the triangle cap of _triangle_cap and, for F = K_t (t >= 3), the clique
+    cap of _clique_cap, both on the vertices that lie on some copy."""
     t, e_f = pattern.n, pattern.edge_count()
     cap = min(host.edge_count() // e_f, _vertex_cap(pattern, host))
-    if (t >= 3 and e_f == t * (t - 1) // 2 and copies and forbidden is not None
-            and forbidden.is_cycle(3)):
-        cap = min(cap, _clique_cap(t, len({v for emb in copies for v in emb})))
+    if triangle and copies:
+        vertices = len(set().union(*copies))
+        cap = min(cap, _triangle_cap(e_f, _triangle_budget(pattern), vertices))
+        if t >= 3 and e_f == t * (t - 1) // 2:
+            cap = min(cap, _clique_cap(t, vertices))
     return cap
 
 
@@ -508,3 +515,40 @@ def _clique_cap(t: int, n: int) -> int:
         if r * (q + 1) ** 2 + (n - r) * q * q > (copies + 1) * limit:
             return copies
         copies += 1
+
+
+@functools.lru_cache(maxsize=256)
+def _triangle_budget(pattern: SimpleGraph) -> int:
+    """t_F + oc_F: the triangles of the pattern F plus its open cherries
+    (paths x-u-y with xy not in F).  F has sum of C(d(u), 2) cherries, three
+    in each triangle, so this is that sum less 2 t_F.  Cached, as every
+    solve under G = K3 asks for it."""
+    cherries = sum(d * (d - 1) // 2 for d in pattern.degrees())
+    return cherries - 2 * count_triangles(pattern.n, pattern.edges)
+
+
+def _triangle_cap(e_f: int, budget: int, n: int) -> int:
+    """Most edge-disjoint copies of a pattern with e_f edges and triangle
+    budget t_F + oc_F (_triangle_budget) in a packing on n vertices with no
+    rainbow triangle.
+
+    A union triangle is not rainbow, so its edges lie in one copy, a
+    triangle of that copy, or two of them lie in one copy and the third in
+    another: an open cherry of the first copy, closed by the one edge on
+    its ends.  So the T copies' union, m = T e_f edges, has at most
+    T (t_F + oc_F) triangles.  Any graph on n vertices has at least
+    (sum of d^2 - n m) / 3 triangles, as each edge uv has at least
+    d(u) + d(v) - n common neighbors (Goodman 1959; Nordhaus and Stewart
+    1963).  With the degrees summing to 2m, the balanced split has the
+    least sum of squares, so T copies need that sum less n T e_f to be at
+    most 3 T budget.  The test is convex in T and holds at T = 0, so the
+    T that pass are 0..cap.  Since the sum of squares is at least
+    (2m)^2 / n, no T above n (n e_f + 3 budget) / (4 e_f^2) passes, and
+    the walk down starts there.
+    """
+    copies = n * (n * e_f + 3 * budget) // (4 * e_f * e_f)
+    while True:
+        q, r = divmod(2 * e_f * copies, n)
+        if r * (q + 1) ** 2 + (n - r) * q * q - n * e_f * copies <= 3 * budget * copies:
+            return copies
+        copies -= 1

@@ -27,6 +27,7 @@ K3_PLUS_VERTEX = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
 VERTEX_PLUS_K3 = SimpleGraph.from_edges(4, [(1, 2), (1, 3), (2, 3)])
 # a path with a pendant edge at its third vertex: no automorphism but the identity
 TREE = SimpleGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
+STAR = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 TWO_K2 = SimpleGraph.from_edges(4, [(0, 1), (2, 3)])
 THREE_K2 = SimpleGraph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
 
@@ -520,6 +521,66 @@ def test_clique_cap_keeps_values_and_witnesses(n, pattern, data):
     assert not naive_rainbow_scan(n, capped.packing.edge_color, K3)
 
 
+# the triangle cap for C5 on N = 5..12 vertices, and the optimum C5/K3
+# value on K_N: the solver proves N <= 11 (N = 11 in about 2*10^8 nodes),
+# and N = 12 comes from one longer run
+C5_TRIANGLE_CAPS = [2, 2, 3, 4, 5, 6, 7, 8]
+C5_OPTIMA = [2, 2, 3, 3, 4, 4, 6, 7]
+
+
+def _triangle_test(e_f, budget, n, copies):
+    # the balanced degree split of 2 * copies * e_f over n vertices leaves
+    # few enough forced triangles
+    return (_balanced_squares(2 * e_f * copies, n) - n * e_f * copies
+            <= 3 * budget * copies)
+
+
+def test_triangle_cap_table():
+    budget = solver._triangle_budget(C5)
+    assert budget == 5  # no triangle, and the five cherries of C5 are open
+    caps = [solver._triangle_cap(5, budget, n) for n in range(5, 13)]
+    assert caps == C5_TRIANGLE_CAPS
+    assert all(cap >= best for cap, best in zip(caps, C5_OPTIMA))
+    for pattern in (P3, P4, C4, C5, PAW, STAR, K3, K4):
+        e_f, budget = pattern.edge_count(), solver._triangle_budget(pattern)
+        for n in range(3, 13):
+            passes = [_triangle_test(e_f, budget, n, copies) for copies in range(n * n)]
+            # the passing counts are 0..cap, with no gap
+            assert passes.index(False) == solver._triangle_cap(e_f, budget, n) + 1 == sum(passes)
+
+
+def test_triangle_cap_boundary_c5_on_seven_vertices():
+    # three C5s, 15 edges with degrees 5, 5, 4, 4, 4, 4, 4, force at least
+    # (130 - 7 * 15) / 3 triangles, within the 3 * 5 open cherries; four
+    # would be K7 less an edge, 90 / 3 = 30 forced triangles against 20
+    assert _balanced_squares(30, 7) - 7 * 15 == 25 <= 3 * 3 * 5
+    assert _balanced_squares(40, 7) - 7 * 20 == 90 > 3 * 4 * 5
+    assert solver._triangle_cap(5, 5, 7) == 3
+    res = max_rainbow_free_packing(SearchConfig(n=7, pattern=C5, forbidden=K3))
+    assert (res.value, res.optimal) == (3, True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 7), pattern=st.sampled_from([P3, P4, C4, C5, PAW, STAR, K3, K4]),
+       data=st.data())
+def test_triangle_cap_is_never_below_the_optimum(n, pattern, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14))
+    while True:
+        # drop the last edges drawn until the oracle's copy guard admits the host
+        host = SimpleGraph.from_edges(n, edges)
+        copies = enumerate_copies(n, pattern, host)
+        if len(copies) <= ORACLE_COPY_LIMIT:
+            break
+        edges.pop()
+    if not copies:
+        return
+    value, _ = oracle_max_packing(n, pattern, K3, host)
+    vertices = len(set().union(*copies))
+    assert solver._triangle_cap(pattern.edge_count(), solver._triangle_budget(pattern),
+                                vertices) >= value
+
+
 def _without_counting_facts(mp):
     # the edge cap alone for the vertex cap, and a rainbow check on every
     # include, however few copies the packing holds
@@ -567,10 +628,12 @@ def test_vertex_cap_and_color_gate_keep_values_and_witnesses(n, pattern, forbidd
 # skip the later copies that a swap of two untouched vertices would lower.
 # The budget-cut rows stop inside a run of clashing copies, so they pin the
 # bulk node count and the position of the cut exactly.  The K3/K3 and K4/K3
-# rows end where the incumbent reaches the clique cap, the K3/K3 n = 8 rows
-# and the _HOST8 row well inside their budgets.  The K3/none n = 8, K3/C5
-# n = 6 and Petersen rows end at the vertex cap (8, 4 and 2); the K3/C5 row
-# runs no rainbow check at all, as a rainbow C5 needs five copies.
+# rows end where the incumbent reaches the clique cap, the C5/K3 n = 7 row
+# at the triangle cap (3; it was cut at 3,001 nodes without it), the K3/K3
+# n = 8 rows and the _HOST8 row well inside their budgets.  The K3/none
+# n = 8, K3/C5 n = 6 and Petersen rows end at the vertex cap (8, 4 and 2);
+# the K3/C5 row runs no rainbow check at all, as a rainbow C5 needs five
+# copies.
 _HOST8 = SimpleGraph.from_edges(
     8, [(u, v) for u in range(8) for v in range(u + 1, 8) if (5 * u + 3 * v) % 7])
 GOLDEN_SOLVES = [
@@ -583,7 +646,7 @@ GOLDEN_SOLVES = [
     (dict(n=7, pattern=K3, forbidden=K3, symmetry_breaking=False),
      (3, True, 18, "330e2e5c86b14f7e68822ff1a696f6ad7c0ff7be91512ebb1f72358d57171a82")),
     (dict(n=7, pattern=C5, forbidden=K3, node_budget=3000, symmetry_breaking=False),
-     (3, False, 3001, "1ca1bab77af22b25d3095e50211824650e37c3933b389311f837103230005946")),
+     (3, True, 870, "1ca1bab77af22b25d3095e50211824650e37c3933b389311f837103230005946")),
     (dict(n=8, pattern=C5, forbidden=K3),
      (3, True, 17875, "54601c268590b2f5314427ab670e13a8c24e9c378910ca42385f933bda18371d")),
     (dict(n=8, pattern=C5, forbidden=K3, node_budget=5000),
@@ -654,13 +717,14 @@ def test_deep_search_needs_no_deep_stack(n):
 def test_triangle_check_matches_the_embedding_kernel(n, pattern, data):
     # with K3 not recognized as a triangle the solver checks every include
     # with the embedding kernel; the search tree must not change.  That also
-    # drops the clique cap, so both runs go without it
+    # drops the triangle and clique caps, so both runs go without them
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     host = SimpleGraph(n, frozenset(e for e, k in zip(pairs, keep) if k))
     cfg = SearchConfig(n=n, pattern=pattern, forbidden=K3, host=host, node_budget=3000)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_clique_cap", lambda t, vertices: vertices * vertices)
+        mp.setattr(solver, "_triangle_cap", lambda e_f, budget, vertices: vertices * vertices)
         fast = max_rainbow_free_packing(cfg)
         mp.setattr(SimpleGraph, "is_cycle", lambda self, k: False)
         generic = max_rainbow_free_packing(cfg)
